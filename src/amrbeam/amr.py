@@ -290,10 +290,12 @@ class SaturationGap:
     region shrinks below its smallest node, so direct evaluation of
     log2(M) - AMR collapses at high SNR. This evaluator instead tabulates
     g(x) = log2(M) - mi(x) once on composite Gauss-Legendre panels covering
-    the region where g is nonzero in double precision, then integrates g
-    against the exact SNR density for each operating point; the only moving
-    part per point is the density. Reliable down to gaps ~1e-11 (series
-    truncation and panel error floors).
+    the region where g is nonzero in double precision, log-spaced from 1e-8 of
+    its upper end so that SNR densities far narrower than 1 (operating points
+    down to -40 dB) are resolved too, then integrates g against the exact SNR
+    density for each operating point; the only moving part per point is the
+    density. Reliable down to gaps ~1e-11 (series truncation and panel error
+    floors).
     """
 
     _PANEL_NODES = 16
@@ -304,9 +306,10 @@ class SaturationGap:
         self.constellation = constellation
         self.bits = constellation.bits
         info = DirectInfo(constellation, hermite_order)
-        # panels from 0 out to where g(x) ~ e^{-x d^2/8} is below 1e-24
+        # panels from 0 out to where g(x) ~ e^{-x d^2/8} is below 1e-24, 16 per
+        # decade from 1e-8 * upper so that SNR densities far below 1 are resolved
         upper = 8.0 / constellation.d_min**2 * 56.0
-        edges = np.concatenate(([0.0], np.geomspace(0.25, upper, 48)))
+        edges = np.concatenate(([0.0], np.geomspace(1e-8 * upper, upper, 129)))
         xg, wg = np.polynomial.legendre.leggauss(self._PANEL_NODES)
         nodes = []
         weights = []

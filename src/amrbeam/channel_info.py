@@ -10,14 +10,30 @@ estimation error E{|X - E[X|Y]|^2} divided by ln 2, so
 holds without unit bookkeeping downstream. (In natural units the zero-SNR limit
 of the raw error is E|X|^2 = 1; in this bit convention it is 1/ln 2.)
 
-The complex-plane integrals are evaluated with a tensor product of two
-Gauss-Hermite rules after shifting the integration variable to the noise,
-u = sqrt(g) x_m + n, which leaves a smooth log-sum-exp of likelihood ratios
-against the standard complex Gaussian measure. Grid points of an InfoTable are
-mutually independent, so table construction parallelizes trivially; tables are
-immutable once built.
+The complex-plane integrals are Gauss-Hermite sums after shifting the
+integration variable to the noise, u = sqrt(g) x_m + n, which leaves a smooth
+log-sum-exp of likelihood ratios against the standard complex Gaussian measure.
+The reference sum is the tensor product of two rules, one per real dimension,
+over every pair of symbols: M^2 * order^2 terms per SNR. The evaluators compute
+exactly that sum, up to rounding, from the structure of the alphabet:
 
-For g * d_min^2 roughly in [8, 130] the integrand develops decision-boundary
+- A Cartesian product of real and imaginary levels (square QAM; BPSK, whose
+  imaginary parts are rounding) splits each exponent into a real-axis and an
+  imaginary-axis part. The log-sum-exp and the posterior then factor, and the
+  tensor sum is the sum of two 1-D Gauss-Hermite sums, one per axis with noise
+  N(0, 1/2): 2 * M * order terms. A square QAM is two PAM channels.
+- Every other alphabet keeps the tensor grid. The 8 symmetries z -> j^k z and
+  z -> j^k conj(z) map the grid and its weights onto themselves, so a symbol's
+  term is the same for every point of its orbit under the symmetries that also
+  map the alphabet onto itself. One representative per orbit, weighted by the
+  orbit size, gives the sum: 8-PSK evaluates 2 symbols, an alphabet without
+  symmetry all M. The representatives are evaluated one at a time, so memory
+  stays at M * order^2 doubles.
+
+Grid points of an InfoTable are mutually independent, so table construction
+parallelizes trivially; tables are immutable once built.
+
+For g * d_min^2 roughly in (1.5, 130) the integrand develops decision-boundary
 layers of width ~ 1/(sqrt(g) d_min) that a fixed-order rule under-resolves, so
 the evaluators silently raise the effective order there (never lowering the
 requested one, capped at 200). Outside the band the boundary contributions are
@@ -57,21 +73,23 @@ _MMSE_FLOOR = 1e-300
 
 _TABLE_FORMAT_VERSION = 1
 
+# Structure detection treats points closer than this multiple of d_min as equal.
+_STRUCTURE_TOL = 1e-9
+
 
 @lru_cache(maxsize=32)
-def _noise_grid(hermite_order: int):
-    """Tensor Gauss-Hermite grid for the standard complex Gaussian measure.
+def _noise_rule(hermite_order: int, dims: int):
+    """Gauss-Hermite rule for CN(0, 1) noise on ``dims`` real dimensions.
 
-    Returns (nodes, weights) with complex nodes n = x + j y and weights
-    normalized so that sum(weights) == 1 (the 1/pi of the Gaussian density is
-    absorbed).
+    Each dimension is N(0, 1/2), whose density is exp(-x^2) / sqrt(pi). Returns
+    (nodes, weights): nodes as a (dims, order^dims) array of coordinates (real
+    part first), weights summing to 1. Two dimensions take the tensor product.
     """
     rule = gauss_hermite(hermite_order)
-    x = rule.nodes
-    w = rule.weights
-    nodes = (x[:, None] + 1j * x[None, :]).ravel()
-    weights = (w[:, None] * w[None, :]).ravel() / math.pi
-    return nodes, weights
+    x, w = rule.nodes, rule.weights / math.sqrt(math.pi)
+    if dims == 1:
+        return x[None, :], w
+    return np.stack((np.repeat(x, x.size), np.tile(x, x.size))), np.outer(w, w).ravel()
 
 
 def _effective_order(requested: int, gamma: float, d_min: float, band_order: int) -> int:
@@ -87,14 +105,96 @@ def _effective_order(requested: int, gamma: float, d_min: float, band_order: int
     return requested
 
 
-def _likelihood_exponents(points: np.ndarray, gamma: float, noise: np.ndarray) -> np.ndarray:
-    """Exponents E[m, m', i] = |n_i|^2 - |n_i + sqrt(g)(x_m - x_m')|^2."""
-    diff = points[:, None] - points[None, :]
-    s = math.sqrt(gamma)
-    # Re(conj(n) d) expanded in real arithmetic; halves the work of the outer product
-    out = np.multiply.outer(-2.0 * s * diff.real, noise.real)
-    out += np.multiply.outer(-2.0 * s * diff.imag, noise.imag)
-    out -= (gamma * (np.abs(diff) ** 2))[:, :, None]
+def _levels(values: np.ndarray, tol: float):
+    """Distinct values, merged when closer than tol, and the level index of each value."""
+    order = np.argsort(values, kind="stable")
+    first = np.concatenate(([True], np.diff(values[order]) > tol))
+    index = np.empty(values.size, dtype=int)
+    index[order] = np.cumsum(first) - 1
+    return values[order][first], index
+
+
+@lru_cache(maxsize=32)
+def _blocks(points_bytes: bytes, d_min: float):
+    """Split the alphabet average into independent quadrature blocks.
+
+    Each block is (sent, alphabet, share): real coordinates of the transmitted
+    symbols and of the alphabet as (rows, dims) arrays, and the weight of each
+    transmitted symbol in the total. A Cartesian product of real and imaginary
+    levels gives two 1-D blocks, one per axis. Any other alphabet gives one 2-D
+    block per orbit under those of the 8 grid symmetries that map it onto
+    itself, weighted by the orbit size; without symmetry every point is its
+    own orbit. Points closer than _STRUCTURE_TOL * d_min count as equal, which
+    absorbs rounding such as the ~1e-16 imaginary parts of BPSK.
+    """
+    points = np.frombuffer(points_bytes, dtype=np.complex128)
+    size = points.size
+    tol = _STRUCTURE_TOL * d_min
+    re, re_index = _levels(points.real, tol)
+    im, im_index = _levels(points.imag, tol)
+    if re.size * im.size == size and np.unique(re_index * im.size + im_index).size == size:
+        return tuple((v[:, None], v[:, None], np.full(v.size, 1.0 / v.size)) for v in (re, im))
+
+    perms = []
+    # images under the 8 symmetries of the square grid: j^k z and j^k conj(z)
+    for image in (w * 1j**k for w in (points, points.conj()) for k in range(4)):
+        dist = np.abs(image[:, None] - points[None, :])
+        perm = dist.argmin(axis=1)
+        if dist[np.arange(size), perm].max() <= tol:
+            perms.append(perm)
+    coords = np.stack((points.real, points.imag), axis=1)
+    blocks = []
+    seen = np.zeros(size, dtype=bool)
+    for m in range(size):
+        if not seen[m]:
+            # the symmetries found form a group, so the images of m are its orbit
+            orbit = np.unique([perm[m] for perm in perms])
+            seen[orbit] = True
+            blocks.append((coords[m : m + 1], coords, np.array([orbit.size / size])))
+    return tuple(blocks)
+
+
+def _exponents(sent: np.ndarray, alphabet: np.ndarray, gamma: float, nodes: np.ndarray) -> np.ndarray:
+    """E[t, m', i] = |n_i|^2 - |n_i + sqrt(g)(x_t - x_m')|^2 in real coordinates."""
+    d = sent[:, None, :] - alphabet[None, :, :]
+    e = (-2.0 * math.sqrt(gamma) * d) @ nodes
+    e -= (gamma * (d * d).sum(axis=2))[:, :, None]
+    return e
+
+
+def _log_partition_sums(sent, alphabet, gamma, nodes, weights) -> np.ndarray:
+    """sum_i w_i log sum_m' exp(E[t, m', i]) for each transmitted symbol."""
+    e = _exponents(sent, alphabet, gamma, nodes)
+    # the m' == m term is 0, so the shift is >= 0 and keeps the sum exact
+    shift = e.max(axis=1)
+    e -= shift[:, None, :]
+    np.exp(e, out=e)
+    return (np.log(e.sum(axis=1)) + shift) @ weights
+
+
+def _error_sums(sent, alphabet, gamma, nodes, weights) -> np.ndarray:
+    """sum_i w_i |x_t - E[X | n_i]|^2 for each transmitted symbol."""
+    post = _exponents(sent, alphabet, gamma, nodes)
+    post -= post.max(axis=1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=1, keepdims=True)
+    err = sent[:, :, None] - alphabet.T @ post
+    return (err * err).sum(axis=1) @ weights
+
+
+def _quadrature_sum(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int, term) -> np.ndarray:
+    """Alphabet average of ``term`` at each SNR, block by block.
+
+    Memory per step is one block's exponent array: (levels^2 * order) on an
+    axis, (M * order^2) for one orbit representative.
+    """
+    blocks = _blocks(c.points.tobytes(), c.d_min)
+    out = np.zeros(gammas.shape)
+    for i, g in enumerate(gammas.tolist()):
+        order = _effective_order(hermite_order, g, c.d_min, band_order)
+        for sent, alphabet, share in blocks:
+            nodes, weights = _noise_rule(order, alphabet.shape[1])
+            out[i] += share @ term(sent, alphabet, g, nodes, weights)
     return out
 
 
@@ -121,31 +221,12 @@ def mmse(c: Constellation, gamma: float, hermite_order: int = 40) -> float:
 
 
 def _mi_at(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int = 120) -> np.ndarray:
-    out = np.empty(gammas.shape)
-    cap = c.bits
-    for i, g in enumerate(gammas):
-        noise, weights = _noise_grid(_effective_order(hermite_order, float(g), c.d_min, band_order))
-        e = _likelihood_exponents(c.points, float(g), noise)
-        # log-sum-exp over m'; the m' == m term is 0, so the shift keeps it exact
-        shift = e.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(e - shift).sum(axis=1)) + shift[:, 0, :]
-        penalty = np.dot(lse.mean(axis=0), weights) / _LN2
-        out[i] = min(max(cap - penalty, 0.0), cap)
-    return out
+    penalty = _quadrature_sum(c, gammas, hermite_order, band_order, _log_partition_sums)
+    return np.clip(c.bits - penalty / _LN2, 0.0, c.bits)
 
 
 def _mmse_at(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int = 120) -> np.ndarray:
-    out = np.empty(gammas.shape)
-    for i, g in enumerate(gammas):
-        noise, weights = _noise_grid(_effective_order(hermite_order, float(g), c.d_min, band_order))
-        e = _likelihood_exponents(c.points, float(g), noise)
-        e -= e.max(axis=1, keepdims=True)
-        post = np.exp(e)
-        post /= post.sum(axis=1, keepdims=True)
-        estimate = np.einsum("mki,k->mi", post, c.points)
-        err = np.abs(c.points[:, None] - estimate) ** 2
-        out[i] = np.dot(err.mean(axis=0), weights) / _LN2
-    return out
+    return _quadrature_sum(c, gammas, hermite_order, band_order, _error_sums) / _LN2
 
 
 def mi_curve(c: Constellation, gammas, hermite_order: int = 40, *, band_order: int = 120) -> np.ndarray:

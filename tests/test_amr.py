@@ -167,6 +167,22 @@ def test_asymptote_noncoop_gap_prediction(qam4, rng):
     assert abs(gap / predicted - 1.0) < 0.10
 
 
+def test_saturation_gap_complements_rate_at_low_snr(qam4, rule50, rng):
+    # rate + gap = log2 M; at low SNR the Laguerre rate resolves the SNR
+    # density at any scale, so it checks the gap where that density is far
+    # narrower than 1
+    gap_eval = SaturationGap(qam4, 40)
+    info = DirectInfo(qam4, 40)
+    e = make_ensemble(4, 5, 0.0, seed=9)
+    p = PhaseVector.random(5, rng)
+    for snr_db in np.arange(-40.0, -9.0, 5.0):
+        gs = effective_snrs(e.with_snr_db(snr_db), p)
+        gn = min_snr_law(gs).gamma_non
+        assert abs(gap_eval.noncoop(gn) + amr_noncoop(info, gn, rule50) - qam4.bits) < 1e-9
+        law = mrc_law(gs, 1e-12)
+        assert abs(gap_eval.coop(law) + amr_coop(info, law, rule50) - qam4.bits) < 1e-9
+
+
 def test_asymptote_coop_k1_matches_noncoop(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
     e = make_ensemble(1, 5, 0.0, seed=2)

@@ -1,19 +1,28 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amrbeam import (
     DirectInfo,
     build_table,
+    gauss_hermite,
     interpolate_mi,
     load_info_table,
+    make_custom,
+    make_psk,
+    make_qam,
     mi_curve,
     mmse,
     mmse_curve,
     mutual_information,
     save_info_table,
 )
+from amrbeam.channel_info import _blocks
 
 LN2 = math.log(2.0)
 
@@ -187,3 +196,167 @@ def test_argument_validation(qam4):
         mutual_information(qam4, 1.0, 8)
     with pytest.raises(ValueError):
         mmse(qam4, 1.0, 300)
+
+
+def tensor_oracle(c, gamma, order):
+    """MI and bit-MMSE as the full 2-D tensor Gauss-Hermite sum over all symbol pairs.
+
+    Shifts the integration variable to the noise, n ~ CN(0, 1), and sums every
+    transmitted symbol over the order^2 grid; one symbol at a time bounds memory.
+    """
+    rule = gauss_hermite(order)
+    nr = np.repeat(rule.nodes, order)
+    ni = np.tile(rule.nodes, order)
+    w = np.outer(rule.weights, rule.weights).ravel() / math.pi
+    s = math.sqrt(gamma)
+    penalty = err = 0.0
+    for x in c.points:
+        d = x - c.points
+        e = -2.0 * s * (np.outer(d.real, nr) + np.outer(d.imag, ni)) - gamma * (np.abs(d) ** 2)[:, None]
+        shift = e.max(axis=0)
+        p = np.exp(e - shift)
+        total = p.sum(axis=0)
+        penalty += np.dot(np.log(total) + shift, w)
+        est_re = c.points.real @ p / total
+        est_im = c.points.imag @ p / total
+        err += np.dot((x.real - est_re) ** 2 + (x.imag - est_im) ** 2, w)
+    return c.bits - penalty / c.order / LN2, err / c.order / LN2
+
+
+def assert_matches_oracle(c, gammas, order):
+    # band_order == order pins the rule, so kernel and oracle sum the same nodes
+    mi = mi_curve(c, gammas, order, band_order=order)
+    mm = mmse_curve(c, gammas, order, band_order=order)
+    for g, a, b in zip(gammas, mi, mm):
+        ref_mi, ref_mm = tensor_oracle(c, g, order)
+        assert abs(a - ref_mi) < 1e-12, (c.label, g, order, a - ref_mi)
+        assert abs(b - ref_mm) < 1e-12, (c.label, g, order, b - ref_mm)
+
+
+NAMED = {
+    "4-QAM": lambda: make_qam(4),
+    "16-QAM": lambda: make_qam(16),
+    "64-QAM": lambda: make_qam(64),
+    "2-PSK": lambda: make_psk(2),
+    "4-PSK": lambda: make_psk(4),
+    "8-PSK": lambda: make_psk(8),
+    "16-PSK": lambda: make_psk(16),
+}
+
+
+@pytest.mark.parametrize("order", [40, 120, 200])
+@pytest.mark.parametrize("name", list(NAMED))
+def test_kernel_matches_tensor_oracle_named(name, order):
+    c = NAMED[name]()
+    # one point inside the boundary-layer band; where the oracle's M^2 order^2
+    # cost allows, also both ends of the SNR domain and the decades between
+    gammas = [20.0 / c.d_min**2]
+    if c.order**2 * order**2 <= 2e7:
+        gammas += [1e-4, 1e-2, 1.0, 1e2, 1e4]
+    assert_matches_oracle(c, np.array(gammas), order)
+
+
+def test_structure_reductions():
+    # square QAM and BPSK split into two 1-D axis blocks; PSK keeps one 2-D
+    # block per orbit under the 8 grid symmetries; no symmetry, no reduction
+    for c, dims, count in (
+        (make_qam(64), 1, 2),
+        (make_psk(2), 1, 2),
+        (make_psk(4), 2, 1),
+        (make_psk(8), 2, 2),
+        (make_psk(16), 2, 3),
+        (make_custom([0, 1, 3j, 2 + 1j]), 2, 4),
+    ):
+        blocks = _blocks(c.points.tobytes(), c.d_min)
+        assert len(blocks) == count, c.label
+        assert all(alphabet.shape[1] == dims for _, alphabet, _ in blocks)
+
+
+# z -> j^k z and z -> j^k conj(z); a generator set closes into a subgroup
+_SYMMETRY_GENERATORS = [
+    [lambda z: 1j * z],
+    [lambda z: -z],
+    [np.conj],
+    [lambda z: 1j * np.conj(z)],
+    [lambda z: -z, np.conj],
+    [lambda z: 1j * z, np.conj],
+]
+
+
+def _close_under(points, maps):
+    pts = list(points)
+    i = 0
+    while i < len(pts):
+        for f in maps:
+            q = complex(f(pts[i]))
+            if min(abs(q - p) for p in pts) > 1e-12:
+                pts.append(q)
+        i += 1
+    return np.array(pts)
+
+
+def _random_points(seed, size):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+_seed = st.integers(0, 2**32 - 1)
+_snr = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+_order = st.sampled_from([40, 120, 200])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=_seed, size=st.integers(1, 3), generators=st.sampled_from(_SYMMETRY_GENERATORS), gamma=_snr, order=_order)
+def test_kernel_matches_tensor_oracle_symmetric_custom(seed, size, generators, gamma, order):
+    points = _close_under(_random_points(seed, size), generators)
+    c = make_custom(points)
+    assume(c.d_min > 0.05)
+    assert len(_blocks(c.points.tobytes(), c.d_min)) < c.order
+    assert_matches_oracle(c, np.array([gamma]), order)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=_seed, size=st.integers(2, 9), gamma=_snr, order=_order)
+def test_kernel_matches_tensor_oracle_asymmetric_custom(seed, size, gamma, order):
+    c = make_custom(_random_points(seed, size))
+    assume(c.d_min > 0.05)
+    assert_matches_oracle(c, np.array([gamma]), order)
+
+
+def test_orbit_path_memory_is_one_symbol_at_a_time():
+    # 64 points without symmetry at order 200: the full pairwise exponent
+    # array would be 64^2 * 200^2 doubles (1.3 GB); one symbol's is 20 MB
+    rng = np.random.default_rng(64)
+    c = make_custom(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    assert len(_blocks(c.points.tobytes(), c.d_min)) == 64
+    gamma = 20.0 / c.d_min**2
+    tracemalloc.start()
+    try:
+        mi_curve(c, gamma, 200)
+        mmse_curve(c, gamma, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_large_qam_i_mmse_and_saturation(m, rng):
+    c = make_qam(m)
+    gammas = 10.0 ** rng.uniform(-3.0, 4.0, 30)
+    for g in gammas:
+        h = 1e-4 * max(g, 1.0)
+        fd = (mutual_information(c, g + h, 40) - mutual_information(c, g - h, 40)) / (2 * h)
+        mm = mmse(c, float(g), 40)
+        assert abs(fd - mm) <= max(1e-5, 1e-3 * mm)
+    assert mutual_information(c, 1e6, 40) == pytest.approx(c.bits, abs=1e-9)
+    assert mmse(c, 1e6, 40) < 1e-20
+
+
+def test_build_table_qam256_is_fast_and_saturates():
+    start = time.perf_counter()
+    t = build_table(make_qam(256), -10.0, 40.0, 10)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    assert np.all(np.diff(t.mi_values) >= 0.0)
+    assert t.mi_values[-1] == pytest.approx(8.0, abs=1e-6)
