@@ -53,6 +53,8 @@ from .quadrature import gauss_laguerre
 OPTIMIZERS = ("rmcgd-f1", "rmcgd-f2", "ga", "random")
 SCENARIOS = {"noncoop": ["non_cooperative"], "coop": ["cooperative"],
              "both": ["non_cooperative", "cooperative"]}
+_MC_DRAWS = ("one MC draw set per phase vector, shared by its rows at every SNR and "
+             "scenario, so their MC errors and z-tests are correlated")
 
 
 class ConfigError(ValueError):
@@ -336,57 +338,71 @@ def _seed_for(base: int, *parts: int) -> int:
 
 
 def cmd_evaluate(runner: Runner) -> int:
+    """Rate table per optimizer, SNR and scenario.
+
+    With ``mc_samples`` set, each phase vector gets one MC draw set that its
+    rows at every SNR and scenario share: one per SNR-independent method, one
+    per SNR for ``ga``. The metadata lists the MC seeds per configured
+    optimizer, in config order.
+    """
     cfg = runner.cfg
+    scenarios = SCENARIOS[cfg.scenario]
     rows = []
     snr_independent = {"rmcgd-f1", "rmcgd-f2", "random"}
+    mc_seeds = []
     for mi, method in enumerate(cfg.optimizers):
-        cached_phases = None
-        for si, snr_db in enumerate(cfg.snr_db):
-            if method in snr_independent:
-                # the argmax of both surrogates is SNR-free, so reuse phases
-                if cached_phases is None:
-                    cached_phases = runner.optimizer_phases(method, snr_db, _seed_for(runner.seed, mi))
-                phases = cached_phases
-            else:
-                phases = runner.optimizer_phases(method, snr_db, _seed_for(runner.seed, mi, si))
-            ens = runner.ensemble.with_snr_db(snr_db)
-            gammas = effective_snrs(ens, phases)
-            for scenario in SCENARIOS[cfg.scenario]:
-                row = {
-                    "method": method,
-                    "scenario": scenario,
-                    "snr_db": snr_db,
-                    "diversity_order": 1.0 if scenario == "non_cooperative" else float(cfg.k),
-                }
-                if scenario == "non_cooperative":
-                    law = min_snr_law(gammas)
-                    row["amr_bits"] = amr_noncoop(runner.table, law.gamma_non, runner.rule)
-                    row["gamma_non"] = law.gamma_non
-                    d, asym = asymptote_noncoop(ens, phases, runner.mellin(2.0),
-                                                runner.constellation.bits)
-                    row["series_truncation"] = None
-                else:
-                    law = mrc_law(gammas, 1e-10)
-                    row["amr_bits"] = amr_coop(runner.table, law, runner.rule)
-                    row["gamma_non"] = None
-                    d, asym = asymptote_coop(ens, phases, runner.mellin(cfg.k + 1.0),
-                                             runner.constellation.bits)
-                    row["series_truncation"] = law.L
-                row["array_gain"] = d
-                row["asymptote_bits"] = float(asym(ens.gamma_bar))
-                if cfg.mc_samples:
-                    est = mc_amr(ens, phases, runner.table, scenario, cfg.mc_samples,
-                                 _seed_for(runner.seed, mi, si, 1))
-                    row["mc_mean"] = est.mean
-                    row["mc_std_error"] = est.std_error
-                else:
-                    row["mc_mean"] = None
-                    row["mc_std_error"] = None
-                rows.append(row)
+        if method in snr_independent:
+            # the argmax of both surrogates is SNR-free, so reuse phases
+            phases = runner.optimizer_phases(method, cfg.snr_db[0], _seed_for(runner.seed, mi))
+            designs = [(phases, cfg.snr_db, _seed_for(runner.seed, mi, 1))]
+        else:
+            designs = [
+                (runner.optimizer_phases(method, snr_db, _seed_for(runner.seed, mi, si)),
+                 [snr_db], _seed_for(runner.seed, mi, si, 1))
+                for si, snr_db in enumerate(cfg.snr_db)
+            ]
+        mc_seeds.append([mc_seed for _, _, mc_seed in designs])
+        for phases, snrs, mc_seed in designs:
+            ensembles = [runner.ensemble.with_snr_db(snr_db) for snr_db in snrs]
+            mc = None
+            if cfg.mc_samples:
+                mc = mc_amr(runner.ensemble, phases, runner.table,
+                            [ens.gamma_bar for ens in ensembles], cfg.mc_samples, mc_seed,
+                            scenarios)
+            for j, ens in enumerate(ensembles):
+                gammas = effective_snrs(ens, phases)
+                for scenario in scenarios:
+                    row = {
+                        "method": method,
+                        "scenario": scenario,
+                        "snr_db": ens.snr_db,
+                        "diversity_order": 1.0 if scenario == "non_cooperative" else float(cfg.k),
+                    }
+                    if scenario == "non_cooperative":
+                        law = min_snr_law(gammas)
+                        row["amr_bits"] = amr_noncoop(runner.table, law.gamma_non, runner.rule)
+                        row["gamma_non"] = law.gamma_non
+                        d, asym = asymptote_noncoop(ens, phases, runner.mellin(2.0),
+                                                    runner.constellation.bits)
+                        row["series_truncation"] = None
+                    else:
+                        law = mrc_law(gammas, 1e-10)
+                        row["amr_bits"] = amr_coop(runner.table, law, runner.rule)
+                        row["gamma_non"] = None
+                        d, asym = asymptote_coop(ens, phases, runner.mellin(cfg.k + 1.0),
+                                                 runner.constellation.bits)
+                        row["series_truncation"] = law.L
+                    row["array_gain"] = d
+                    row["asymptote_bits"] = float(asym(ens.gamma_bar))
+                    est = mc[scenario][j] if mc else None
+                    row["mc_mean"] = est.mean if est else None
+                    row["mc_std_error"] = est.std_error if est else None
+                    rows.append(row)
     columns = ["method", "scenario", "snr_db", "amr_bits", "mc_mean", "mc_std_error",
                "asymptote_bits", "array_gain", "diversity_order", "gamma_non",
                "series_truncation"]
-    write_rows(runner.path("amr_table"), rows, columns, runner.metadata(), runner.fmt)
+    extra = {"mc_seeds": mc_seeds, "mc_draws": _MC_DRAWS} if cfg.mc_samples else None
+    write_rows(runner.path("amr_table"), rows, columns, runner.metadata(extra), runner.fmt)
     return 0
 
 
@@ -486,35 +502,46 @@ def cmd_asymptotics(runner: Runner) -> int:
 
 
 def cmd_validate(runner: Runner) -> int:
-    """Monte Carlo oracle agreement (within 3 standard errors) per grid point."""
+    """Monte Carlo oracle agreement (within 3 standard errors) per grid point.
+
+    One random phase vector and one MC draw set, with seed
+    ``_seed_for(seed, 5)``, serve the whole SNR grid and both scenarios, so the
+    rows' MC errors and z-tests are correlated; the metadata records the seed
+    and says so. Exits 1 unless every row passes.
+    """
     cfg = runner.cfg
     n = cfg.mc_samples or 100_000
     rng = np.random.default_rng(_seed_for(runner.seed, 3))
     phases = PhaseVector.random(cfg.n, rng)
+    scenarios = SCENARIOS[cfg.scenario]
+    mc_seed = _seed_for(runner.seed, 5)
+    ensembles = [runner.ensemble.with_snr_db(snr_db) for snr_db in cfg.snr_db]
+    mc = mc_amr(runner.ensemble, phases, runner.table, [ens.gamma_bar for ens in ensembles],
+                n, mc_seed, scenarios)
     rows = []
     all_ok = True
-    for si, snr_db in enumerate(cfg.snr_db):
-        ens = runner.ensemble.with_snr_db(snr_db)
+    for si, ens in enumerate(ensembles):
         gammas = effective_snrs(ens, phases)
-        for scenario in SCENARIOS[cfg.scenario]:
+        for scenario in scenarios:
             if scenario == "non_cooperative":
                 analytic = amr_noncoop(runner.table, min_snr_law(gammas).gamma_non, runner.rule)
             else:
                 analytic = amr_coop(runner.table, mrc_law(gammas, 1e-10), runner.rule)
-            est = mc_amr(ens, phases, runner.table, scenario, n, _seed_for(runner.seed, 5, si))
+            est = mc[scenario][si]
             z = abs(analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
             ok = z <= 3.0
             all_ok &= ok
             rows.append({
                 "scenario": scenario,
-                "snr_db": snr_db,
+                "snr_db": ens.snr_db,
                 "analytic_bits": analytic,
                 "mc_mean": est.mean,
                 "mc_std_error": est.std_error,
                 "z": z,
                 "pass": ok,
             })
-    md = runner.metadata({"mc_samples": n, "all_pass": all_ok})
+    md = runner.metadata({"mc_samples": n, "mc_seed": mc_seed, "mc_draws": _MC_DRAWS,
+                          "all_pass": all_ok})
     write_rows(runner.path("validation"), rows,
                ["scenario", "snr_db", "analytic_bits", "mc_mean", "mc_std_error", "z", "pass"],
                md, runner.fmt)
@@ -593,3 +620,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

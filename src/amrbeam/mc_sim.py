@@ -1,11 +1,21 @@
 """Monte Carlo oracle for the analytic rate machinery.
 
 Samples correlated Rayleigh channels h_k = R_k^(1/2) g_k with standard complex
-Gaussian g_k, forms instantaneous SNRs gamma_bar |h_k^H f|^2, and averages the
-interpolated mutual information of the minimum (non-cooperative) or the sum
-(cooperative). Sampling is chunked with a fixed chunk size and the chunk sums
-are combined with math.fsum, so estimates are bitwise reproducible for a given
-(seed, n) regardless of how the chunks are scheduled.
+Gaussian g_k and forms the unit-SNR gains |h_k^H f|^2. The instantaneous SNR
+at average SNR gamma_bar is gamma_bar times that gain, so one draw set serves
+a whole SNR grid: ``mc_amr`` draws the channels once per (phase vector, seed)
+and keeps, per sample, only the minimum (non-cooperative) and the sum
+(cooperative) of the gains over users, 2 doubles per sample whatever K is and
+however many SNRs are asked for. Each (SNR, scenario) estimate is then the
+average interpolated mutual information of gamma_bar times one of those
+columns, reduced over fixed chunks of samples whose sums are combined with
+math.fsum.
+
+Each sample's normals are consecutive in the generator's stream and draw
+chunks are bounded in bytes, not samples, so the draws do not depend on the
+chunk size. Estimates are therefore bitwise reproducible for a given
+(seed, n), and an estimate does not depend on which other SNRs or scenarios
+share its draws. Estimates that share draws have correlated errors.
 """
 
 from __future__ import annotations
@@ -19,9 +29,13 @@ from .channel_model import ChannelEnsemble, PhaseVector
 
 __all__ = ["McEstimate", "sample_effective_gains", "mc_amr"]
 
+# samples per reduction chunk; fixed, because it sets the partial sums fsum adds
 _CHUNK = 1 << 17
+# real normals per draw chunk (8 MB), whatever K and N are
+_DRAW_NORMALS = 1 << 20
 
 _SCENARIOS = ("non_cooperative", "cooperative")
+_REDUCE = {"non_cooperative": np.min, "cooperative": np.sum}
 
 
 @dataclass(frozen=True)
@@ -37,19 +51,19 @@ class McEstimate:
 
 
 def _gain_chunks(ensemble: ChannelEnsemble, phases: PhaseVector, n: int, seed: int):
-    """Yield (chunk, K) arrays of instantaneous SNRs."""
+    """Yield (chunk, K) arrays of unit-SNR gains |h_k^H f|^2."""
     # f^H h_k = f^H R_k^(1/2) g_k = <a_k, g_k> with a_k = R_k^(1/2) f
-    a = np.einsum("kij,j->ki", ensemble.sqrt_correlations(), phases.f)
+    a_conj = np.conj(np.einsum("kij,j->ki", ensemble.sqrt_correlations(), phases.f))
     rng = np.random.default_rng(seed)
     k, nn = ensemble.K, ensemble.N
-    remaining = n
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        g = rng.standard_normal((m, k, nn)) + 1j * rng.standard_normal((m, k, nn))
-        g /= math.sqrt(2.0)
-        z = np.einsum("mki,ki->mk", g, np.conj(a))
-        yield ensemble.gamma_bar * (z.real**2 + z.imag**2)
-        remaining -= m
+    rows = max(1, _DRAW_NORMALS // (2 * k * nn))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        g = rng.standard_normal((m, k, nn, 2)).view(np.complex128)[..., 0]
+        z = np.einsum("mki,ki->mk", g, a_conj)
+        del g  # free this chunk before the next one is drawn
+        # unit-variance real and imaginary parts make E|z|^2 twice the mean gain
+        yield 0.5 * (z.real**2 + z.imag**2)
 
 
 def sample_effective_gains(
@@ -58,37 +72,55 @@ def sample_effective_gains(
     """n x K matrix of instantaneous per-user SNRs (exponential marginals)."""
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
-    return np.concatenate(list(_gain_chunks(ensemble, phases, n, seed)), axis=0)
+    return ensemble.gamma_bar * np.concatenate(list(_gain_chunks(ensemble, phases, n, seed)))
+
+
+def _estimate(info, gamma_bar: float, snr: np.ndarray, seed: int) -> McEstimate:
+    n = len(snr)
+    sums = []
+    sq_sums = []
+    for start in range(0, n, _CHUNK):
+        vals = info.mi(gamma_bar * snr[start:start + _CHUNK])
+        sums.append(float(vals.sum()))
+        sq_sums.append(float(np.square(vals).sum()))
+    mean = math.fsum(sums) / n
+    var = max(math.fsum(sq_sums) - n * mean * mean, 0.0) / (n - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
 def mc_amr(
     ensemble: ChannelEnsemble,
     phases: PhaseVector,
     info,
-    scenario: str,
+    gamma_bars,
     n: int,
     seed: int,
-) -> McEstimate:
-    """Empirical average multicast rate with its standard error.
+    scenarios=_SCENARIOS,
+) -> dict:
+    """Empirical average multicast rates with standard errors on an SNR grid.
 
-    ``scenario`` selects the per-sample SNR reduction: the minimum over users
-    (each decodes alone) or the sum (joint maximal-ratio detection). The same
-    seed yields the same channel draws for both scenarios, so paired
-    comparisons share randomness.
+    Draws n channels once, at unit SNR, and evaluates them at every linear
+    average SNR in ``gamma_bars``; the ensemble's own SNR is not used. Each
+    scenario selects the per-sample SNR reduction: the minimum over users
+    (each decodes alone) or the sum (joint maximal-ratio detection). Returns
+    {scenario: (McEstimate per entry of gamma_bars)}. All estimates share the
+    draws, so min <= sum and the SNR ordering hold pathwise and their errors
+    are correlated; each equals the estimate computed alone with the same
+    seed and n.
     """
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"scenario must be one of {_SCENARIOS}, got {scenario!r}")
+    unknown = [s for s in scenarios if s not in _SCENARIOS]
+    if unknown:
+        raise ValueError(f"scenario must be one of {_SCENARIOS}, got {unknown[0]!r}")
     if n < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n}")
-    sums = []
-    sq_sums = []
+    reduced = {s: np.empty(n) for s in scenarios}
+    start = 0
     for gains in _gain_chunks(ensemble, phases, n, seed):
-        snr = gains.min(axis=1) if scenario == "non_cooperative" else gains.sum(axis=1)
-        vals = info.mi(snr)
-        sums.append(float(vals.sum()))
-        sq_sums.append(float(np.square(vals).sum()))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+        stop = start + len(gains)
+        for s, col in reduced.items():
+            col[start:stop] = _REDUCE[s](gains, axis=1)
+        start = stop
+    return {
+        s: tuple(_estimate(info, float(gb), col, seed) for gb in gamma_bars)
+        for s, col in reduced.items()
+    }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import expon, kstest
@@ -6,13 +8,23 @@ from amrbeam import (
     ChannelEnsemble,
     McEstimate,
     PhaseVector,
+    amr_coop,
     amr_noncoop,
     effective_snrs,
     make_ensemble,
     mc_amr,
     min_snr_law,
+    mrc_law,
     sample_effective_gains,
 )
+from amrbeam import mc_sim
+
+NONCOOP = ("non_cooperative",)
+GRID_DB = np.arange(-30.0, 31.0, 3.0)  # 21 SNRs
+
+
+def _gamma_bars(snr_db):
+    return [10.0 ** (s / 10.0) for s in snr_db]
 
 
 def test_gain_marginals(rng):
@@ -41,9 +53,9 @@ def test_mc_amr_validation(table_qam4, rng):
     e = make_ensemble(2, 3, 0.0, seed=1)
     p = PhaseVector.random(3, rng)
     with pytest.raises(ValueError):
-        mc_amr(e, p, table_qam4, "non_cooperative", 100, seed=1)
+        mc_amr(e, p, table_qam4, [1.0], 100, seed=1)
     with pytest.raises(ValueError):
-        mc_amr(e, p, table_qam4, "weird", 10**4, seed=1)
+        mc_amr(e, p, table_qam4, [1.0], 10**4, seed=1, scenarios=("weird",))
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, std_error=0.0, n_samples=10, seed=0)
 
@@ -51,19 +63,18 @@ def test_mc_amr_validation(table_qam4, rng):
 def test_mc_amr_vanishes_at_tiny_snr(table_qam4, rng):
     e = make_ensemble(3, 4, -120.0, seed=5)
     p = PhaseVector.random(4, rng)
-    est = mc_amr(e, p, table_qam4, "non_cooperative", 10**4, seed=9)
-    assert est.mean < 1e-6
+    est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**4, seed=9, scenarios=NONCOOP)
+    assert est["non_cooperative"][0].mean < 1e-6
 
 
 def test_mc_amr_deterministic_and_dominant(table_qam4, rng):
     e = make_ensemble(4, 5, -10.0, seed=6)
     p = PhaseVector.random(5, rng)
-    a1 = mc_amr(e, p, table_qam4, "non_cooperative", 10**5, seed=13)
-    a2 = mc_amr(e, p, table_qam4, "non_cooperative", 10**5, seed=13)
-    assert a1.mean == a2.mean and a1.std_error == a2.std_error
-    coop = mc_amr(e, p, table_qam4, "cooperative", 10**5, seed=13)
-    # same seed means shared draws; min <= sum pathwise, so the means order
-    assert a1.mean <= coop.mean
+    a1 = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**5, seed=13)
+    a2 = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**5, seed=13)
+    assert a1 == a2
+    # shared draws; min <= sum pathwise, so the means order
+    assert a1["non_cooperative"][0].mean <= a1["cooperative"][0].mean
     # pathwise check on the raw gains with the identical seed
     gains = sample_effective_gains(e, p, 10**4, seed=13)
     assert np.all(
@@ -75,6 +86,61 @@ def test_mc_agrees_with_analytic(table_qam4, rule50, rng):
     e = make_ensemble(4, 5, -20.0, seed=31)
     p = PhaseVector.random(5, rng)
     gs = effective_snrs(e, p)
-    est = mc_amr(e, p, table_qam4, "non_cooperative", 10**6, seed=77)
-    analytic = amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50)
-    assert abs(analytic - est.mean) <= 3.0 * est.std_error
+    est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**6, seed=77)
+    analytic = {
+        "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50),
+        "cooperative": amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50),
+    }
+    for scenario, rate in analytic.items():
+        mc = est[scenario][0]
+        assert abs(rate - mc.mean) <= 3.0 * mc.std_error
+
+
+def test_draws_do_not_depend_on_chunk_size(rng, monkeypatch):
+    e = make_ensemble(3, 16, 0.0, seed=8)
+    p = PhaseVector.random(16, rng)
+    whole = sample_effective_gains(e, p, 3000, seed=21)
+    # 7 samples per draw chunk, and a last chunk of 4
+    monkeypatch.setattr(mc_sim, "_DRAW_NORMALS", 2 * 3 * 16 * 7 + 5)
+    assert np.array_equal(sample_effective_gains(e, p, 3000, seed=21), whole)
+
+
+def test_estimate_same_alone_or_in_grid(table_qam4, rng):
+    e = make_ensemble(4, 5, 0.0, seed=6)
+    p = PhaseVector.random(5, rng)
+    grid = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB), 10**4, seed=17)
+    for i in (0, 10, 20):
+        for scenario in ("non_cooperative", "cooperative"):
+            alone = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB[i:i + 1]), 10**4, seed=17,
+                           scenarios=(scenario,))
+            assert alone[scenario][0] == grid[scenario][i]
+
+
+def test_grid_means_monotone_and_coop_dominates(table_qam4, rng):
+    # shared draws make both orderings hold sample by sample, hence exactly
+    e = make_ensemble(4, 5, 0.0, seed=11)
+    p = PhaseVector.random(5, rng)
+    grid = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB), 10**4, seed=23)
+    non = [est.mean for est in grid["non_cooperative"]]
+    coop = [est.mean for est in grid["cooperative"]]
+    assert all(a <= b for a, b in zip(non, non[1:]))
+    assert all(a <= b for a, b in zip(coop, coop[1:]))
+    assert all(a <= b for a, b in zip(non, coop))
+    assert non[0] < non[-1] and coop[0] < coop[-1]
+
+
+def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
+    # One draw chunk (8 MB of normals) plus 2 doubles per sample (1.6 MB) and
+    # the reduction's temporaries. Keeping a 1e5-sample array per SNR of one
+    # scenario would add 21 x 0.8 MB on top.
+    e = make_ensemble(32, 128, 0.0, model="local_scattering", seed=3)
+    p = PhaseVector.random(128, rng)
+    e.sqrt_correlations()  # cached on the ensemble; not part of the MC cost
+    tracemalloc.start()
+    try:
+        grid = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB), 10**5, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(ests) == len(GRID_DB) for ests in grid.values())
+    assert peak < 16 * 2**20
