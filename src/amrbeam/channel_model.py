@@ -8,16 +8,22 @@ into a scalar Rayleigh link whose instantaneous SNR is exponential with mean
     gamma_k = gamma_bar * phi^H R_k phi / N.
 
 Two composite laws matter downstream: the minimum over users (exponential with
-the harmonic-composite mean) and the sum over users (maximal-ratio combining),
-whose density is expanded in a single gamma series with recursively computed
-coefficients. All objects here are immutable after construction; Monte Carlo
-sampling lives in mc_sim and takes explicit seeded generators.
+the harmonic-composite mean) and the sum over users (maximal-ratio combining).
+The sum's density is a single gamma series (Moschopoulos 1985, Ann. Inst.
+Stat. Math. 37:541) whose mixture masses are the power-series coefficients of
+prod_k (1 - beta_k) / (1 - beta_k z); a cascade of K first-order recursions
+computes them in O(K L) for L terms, adding only nonnegative numbers. All
+objects here are immutable after construction; Monte Carlo sampling lives in
+mc_sim and takes explicit seeded generators.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -184,7 +190,15 @@ class ChannelEnsemble:
         return 10.0 ** (self.snr_db / 10.0)
 
     def with_snr_db(self, snr_db: float) -> "ChannelEnsemble":
-        return ChannelEnsemble(self.correlations, float(snr_db), dict(self.metadata))
+        """The same ensemble at another average SNR.
+
+        The copy shares the already cleaned correlations and the square-root
+        cache instead of cleaning them again; the metadata dict is copied.
+        """
+        out = copy.copy(self)
+        out.snr_db = float(snr_db)
+        out.metadata = dict(self.metadata)
+        return out
 
     def sqrt_correlations(self) -> np.ndarray:
         """Hermitian PSD square roots R_k^{1/2} (cached)."""
@@ -308,16 +322,16 @@ class MrcLaw:
     """Gamma-series law of the summed SNR gamma_mrc = sum_k gamma_k.
 
     The density is a mixture of Erlang/gamma components with common scale
-    gamma_min: sum_l c_l * Gamma(K + l, gamma_min), where the mixture masses
-    c_l = psi_l * prod_k(gamma_min / gamma_k) follow the same recursion as the
-    series coefficients psi_l but stay in [0, 1], which sidesteps overflow for
-    large K or strong SNR disparity. tail_bound is the exact mass left out by
-    the truncation (the full masses sum to 1).
+    gamma_min: sum_l c_l * Gamma(K + l, gamma_min) for l = 0..L (Moschopoulos
+    1985, Ann. Inst. Stat. Math. 37:541). With beta_k = 1 - gamma_min/gamma_k
+    in [0, 1), the mixture masses coeffs[l] = c_l are the coefficients of z^l
+    in prod_k (1 - beta_k) / (1 - beta_k z), so they lie in [0, 1] and the
+    full series sums to 1. tail_bound is the exact mass left out by the
+    truncation, 1 - sum(coeffs), in [0, tol).
     """
 
     gammas: np.ndarray
     gamma_min: float
-    psi: np.ndarray
     L: int
     tail_bound: float
     coeffs: np.ndarray
@@ -366,9 +380,16 @@ class MrcLaw:
 def mrc_law(gammas, tol: float = 1e-10) -> MrcLaw:
     """Build the summed-SNR law, truncating once the left-out mass is < tol.
 
-    The truncation bound is exact: each series term contributes a known
-    nonnegative probability mass and the full masses sum to one, so the
-    remainder is 1 minus the accumulated mass.
+    The masses c_l are the coefficients of c_0 prod_k 1 / (1 - beta_k z),
+    c_0 = prod_k (1 - beta_k), so a cascade of first-order recursions gives
+    them: y_0[l] = c_0 delta[l], y_k[l] = y_{k-1}[l] + beta_k y_k[l-1], and
+    c_l = y_K[l]. All K recursions advance one term l at a time, which costs
+    O(K) per term and O(K L) in all; a user with beta_k = 0 leaves the cascade
+    unchanged and is skipped. Every term is a sum of nonnegative numbers, so
+    nothing cancels and each c_l keeps its relative accuracy however small it
+    is. The truncation bound is exact: the full masses sum to one, so the
+    remainder is 1 minus the accumulated mass. At most _MAX_SERIES_TERMS + 1
+    masses are computed; a law that needs more raises TruncationError.
     """
     g = np.asarray(gammas, dtype=float)
     if g.size == 0 or np.any(g <= 0.0):
@@ -376,37 +397,26 @@ def mrc_law(gammas, tol: float = 1e-10) -> MrcLaw:
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     gmin = float(g.min())
-    beta = 1.0 - gmin / g  # each in [0, 1)
+    beta = [b for b in (1.0 - gmin / g).tolist() if b > 0.0]  # each in (0, 1)
 
     c0 = float(np.exp(np.sum(np.log(gmin / g))))
     coeffs = [c0]
+    y = [c0] * len(beta)  # y_k[0] = c_0 for every k
     acc = c0
-    power_sums = []
-    beta_pow = np.ones_like(beta)
-    tail = 1.0 - acc
-    while tail >= tol:
-        l = len(coeffs)
-        if l > _MAX_SERIES_TERMS:
+    while 1.0 - acc >= tol:
+        if len(coeffs) > _MAX_SERIES_TERMS:
             raise TruncationError(
                 f"gamma series needs more than {_MAX_SERIES_TERMS} terms to reach "
                 f"tail mass {tol} (extreme SNR disparity)"
             )
-        beta_pow = beta_pow * beta
-        power_sums.append(float(beta_pow.sum()))
-        s = np.asarray(power_sums[:l])
-        c_l = float(np.dot(s, np.asarray(coeffs[l - 1 :: -1]))) / l
-        coeffs.append(c_l)
-        acc += c_l
-        tail = max(1.0 - acc, 0.0)
+        y = list(accumulate(map(mul, beta, y)))
+        coeffs.append(y[-1])
+        acc += y[-1]
 
-    c = np.asarray(coeffs)
-    with np.errstate(over="ignore"):
-        psi = c / c0
     return MrcLaw(
         gammas=g.copy(),
         gamma_min=gmin,
-        psi=psi,
         L=len(coeffs) - 1,
-        tail_bound=tail,
-        coeffs=c,
+        tail_bound=max(1.0 - acc, 0.0),
+        coeffs=np.asarray(coeffs),
     )

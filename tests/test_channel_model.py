@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import expon, gamma as sgamma, kstest
 
 from amrbeam import (
@@ -95,6 +98,21 @@ def test_ensemble_json_round_trip():
     assert back.metadata["model"] == "exponential"
 
 
+def test_with_snr_db_shares_the_cleaned_matrices():
+    e = make_ensemble(32, 128, 0.0, seed=7)
+    root = e.sqrt_correlations()
+    t0 = time.perf_counter()
+    e2 = e.with_snr_db(10.0)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.01
+    assert e2.snr_db == 10.0 and e.snr_db == 0.0
+    assert np.array_equal(e2.correlations, e.correlations)
+    assert e2.sqrt_correlations() is root
+    assert e2.metadata == e.metadata and e2.metadata is not e.metadata
+    e2.metadata["extra"] = 1
+    assert "extra" not in e.metadata
+
+
 def test_effective_snrs_identity_correlations(rng):
     e = ChannelEnsemble(np.stack([np.eye(5, dtype=complex)] * 4), 10.0)
     p = PhaseVector.random(5, rng)
@@ -147,7 +165,7 @@ def test_harmonic_min_sum_ordering(rng):
 def test_mrc_law_equal_gammas_is_erlang():
     law = mrc_law([2.0, 2.0, 2.0], 1e-10)
     assert law.L == 0
-    assert law.psi == pytest.approx([1.0])
+    assert np.array_equal(law.coeffs, [1.0])
     assert law.tail_bound == 0.0
     xs = np.linspace(0.05, 30, 50)
     assert np.allclose(law.pdf(xs), sgamma.pdf(xs, a=3, scale=2.0), atol=1e-14)
@@ -166,8 +184,8 @@ def test_mrc_law_invariants(rng):
         k = int(rng.integers(2, 7))
         gammas = rng.uniform(0.1, 4.0, k)
         law = mrc_law(gammas, 1e-10)
-        assert law.psi[0] == 1.0
-        assert np.all(law.psi >= 0.0)
+        assert law.coeffs[0] == pytest.approx(np.prod(gammas.min() / gammas), rel=1e-14)
+        assert np.all(law.coeffs >= 0.0)
         assert law.coeffs.sum() == pytest.approx(1.0, abs=10 * law.tail_bound + 1e-13)
         xs = np.linspace(0.0, 50.0, 300)
         assert np.all(law.pdf(xs) >= 0.0)
@@ -205,6 +223,86 @@ def test_mrc_law_truncation_failure():
         mrc_law([1.0, 2.0], -1.0)
     with pytest.raises(ValueError):
         mrc_law([], 1e-10)
+
+
+def test_mrc_law_series_length_boundary():
+    # K=2 has masses (1 - b) b^l and tail b^(l+1): b^10000.5 = tol needs
+    # exactly 10 001 masses, the most allowed; b^10001.5 = tol needs one more
+    tol = 1e-3
+    b = tol ** (1 / 10000.5)
+    law = mrc_law([1.0, 1.0 / (1.0 - b)], tol)
+    assert law.L == 10_000 and law.coeffs.size == 10_001
+    b = tol ** (1 / 10001.5)
+    with pytest.raises(TruncationError):
+        mrc_law([1.0, 1.0 / (1.0 - b)], tol)
+
+
+def _power_sum_masses(gammas, tol):
+    """Reference masses by the power-sum recursion c_l = sum_i s_i c_{l-i} / l.
+
+    s_i = sum_k beta_k^i. This O(L^2) recursion shares no arithmetic with the
+    cascade in mrc_law. Returns the masses and the tail 1 - sum c[:l+1] after
+    each term.
+    """
+    g = np.asarray(gammas, dtype=float)
+    gmin = g.min()
+    beta = 1.0 - gmin / g
+    c = np.empty(10_001)
+    s = np.empty(10_000)
+    c[0] = np.exp(np.sum(np.log(gmin / g)))
+    acc = c[0]
+    tails = [1.0 - acc]
+    beta_pow = np.ones_like(beta)
+    l = 0
+    while tails[-1] >= tol:
+        l += 1
+        beta_pow = beta_pow * beta
+        s[l - 1] = beta_pow.sum()
+        c[l] = float(np.dot(s[:l], c[l - 1 :: -1])) / l
+        acc += c[l]
+        tails.append(1.0 - acc)
+    return c[: l + 1], tails
+
+
+@st.composite
+def _gain_sets(draw):
+    k = draw(st.integers(1, 32))
+    spread = draw(st.floats(1.0, 100.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    return scale * spread ** np.asarray(u)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gammas=_gain_sets(), tol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_mrc_law_matches_power_sum_recursion(gammas, tol):
+    law = mrc_law(gammas, tol)
+    ref, tails = _power_sum_masses(gammas, tol)
+    n = min(law.L, ref.size - 1) + 1
+    np.testing.assert_allclose(law.coeffs[:n], ref[:n], rtol=1e-13, atol=0.0)
+    assert 0.0 <= law.tail_bound < tol
+    if law.L != ref.size - 1:
+        # the two running sums of masses that sum to 1 may differ by the
+        # coefficient tolerance, so only a reference tail that close to tol
+        # can stop one series a term before the other
+        assert abs(law.L - (ref.size - 1)) == 1
+        assert abs(tails[n - 1] - tol) <= 1e-13
+
+
+def test_mrc_law_large_series_is_fast():
+    # K=16 with a 100x geometric gain spread needs L > 2000 terms; the
+    # quadratic power-sum recursion needs about 0.4 s for it
+    gammas = 100.0 ** (np.arange(16) / 15)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        law = mrc_law(gammas, 1e-10)
+        times.append(time.perf_counter() - t0)
+    assert law.L > 2000
+    assert isinstance(law.L, int) and isinstance(law.tail_bound, float)
+    assert 0.0 <= law.tail_bound < 1e-10
+    assert math.fsum(law.coeffs) + law.tail_bound == pytest.approx(1.0, abs=1e-13)
+    assert min(times) < 0.1
 
 
 def test_channel_law_realization(rng):
