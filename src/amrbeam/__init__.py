@@ -19,7 +19,6 @@ from .channel_info import (
     DirectInfo,
     InfoTable,
     build_table,
-    interpolate_mi,
     load_info_table,
     mi_curve,
     mmse,

@@ -10,6 +10,10 @@ nodes with all gamma-function factors kept in log space.
 At high SNR both rates approach log2(M) like A - (d * snr)^(-G): diversity
 order G = 1 (non-cooperative) or K (cooperative), with the array gain d built
 from a Mellin moment of the MMSE curve and the beamforming gains f^H R_k f.
+The Mellin moments come from one fixed node set per alphabet and Hermite
+order: composite Gauss-Legendre panels plus a Gauss-Laguerre far tail, with
+the MMSE tabulated on all of it in a single mmse_curve call, so each moment
+order t is a weighted sum over the same values (see mellin_mmse).
 Inside the cooperative gain the product of per-user SNRs is read as the
 SNR-normalized quadratic forms so that the average SNR appears only in the
 explicit (d * snr)^(-K) factor; AmrReport records that convention.
@@ -23,11 +27,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .channel_info import mmse_curve
-from .channel_model import ChannelEnsemble, MrcLaw, PhaseVector, min_snr_law, mrc_law, quadratic_forms
+from .channel_model import (
+    ChannelEnsemble,
+    MrcLaw,
+    PhaseVector,
+    log_gamma_range,
+    min_snr_law,
+    mrc_law,
+    quadratic_forms,
+)
 from .constellation import Constellation
 from .quadrature import QuadratureRule, gauss_laguerre
 
@@ -77,13 +87,81 @@ def amr_coop(info, law: MrcLaw, rule: QuadratureRule) -> float:
     log_terms = (
         np.log(rule.weights)[None, :]
         + (shape[:, None] - 1.0) * np.log(rule.nodes)[None, :]
-        - gammaln(shape)[:, None]
+        - log_gamma_range(law.K, law.K + law.L + 1)[:, None]
     )
     val = float(law.coeffs @ (np.exp(log_terms) @ mi))
     return min(max(val, 0.0), info.constellation.bits)
 
 
-_MELLIN_CACHE: dict = {}
+# Mellin head panels per decade (half that below 0.05 / d_min^2); it also sets
+# the widest panel, 4 / (_PANELS_PER_DECADE * alpha). See mellin_mmse.
+_PANELS_PER_DECADE = 8
+_PANEL_NODES = 8
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
+# Legendre coefficients a_k of the degree-7 interpolant from its values at the
+# Gauss nodes: a_k = (2k + 1) / 2 * sum_i w_i f(x_i) P_k(x_i)
+_GL_TO_LEGENDRE = (
+    np.polynomial.legendre.legvander(_GL_NODES, _PANEL_NODES - 1)
+    * _GL_WEIGHTS[:, None]
+    * (np.arange(_PANEL_NODES) + 0.5)
+)
+_MELLIN_RTOL = 1e-8
+# (hermite order, tail order, alphabet) -> the tabulated node set, see _mellin_nodes
+_MELLIN_NODES: dict = {}
+
+
+def _mellin_panels(d_min: float) -> np.ndarray:
+    """Panel edges on [0, x_hi], x_hi = 1 + 34 / alpha, alpha = d_min^2 / 8.
+
+    Edges also sit at g * d_min^2 = 1.5 and 130, where the kernel switches
+    its Hermite order, so no panel straddles a switch.
+    """
+    d2 = d_min * d_min
+    x_hi = 1.0 + 272.0 / d2  # 1 + 34 / alpha
+    cuts = (1e-10 * x_hi, 0.05 / d2, 1.5 / d2, 130.0 / d2, x_hi)
+    width = 32.0 / (_PANELS_PER_DECADE * d2)  # 4 / (_PANELS_PER_DECADE * alpha)
+    edges = [0.0]
+    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        per_decade = _PANELS_PER_DECADE / 2.0 if j == 0 else _PANELS_PER_DECADE
+        logs = np.geomspace(a, b, max(1, math.ceil(per_decade * math.log10(b / a))) + 1)
+        for u, v in zip(logs[:-1], logs[1:]):
+            edges.extend(np.linspace(u, v, math.ceil((v - u) / width) + 1)[:-1].tolist())
+    edges.append(x_hi)
+    return np.asarray(edges)
+
+
+def _mellin_nodes(c: Constellation, hermite_order: int, tail_order: int):
+    """The MMSE on the Mellin node set, tabulated once per alphabet and order.
+
+    Returns (x, half, mmse, tails): the (panels, 8) Gauss-Legendre nodes, the
+    panel half-widths, the MMSE at x, and for the tail rules at tail_order
+    and 2/3 of it, (ln x, ln(w e^u mmse(x) / alpha)) at x = x_hi + u / alpha.
+    """
+    key = (hermite_order, tail_order, c.points.tobytes())
+    if key not in _MELLIN_NODES:
+        edges = _mellin_panels(c.d_min)
+        half = 0.5 * np.diff(edges)
+        x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _GL_NODES
+        alpha = c.d_min**2 / 8.0
+        rules = [gauss_laguerre(n) for n in (tail_order, max(10, int(tail_order * 2 / 3)))]
+        far = [edges[-1] + rule.nodes / alpha for rule in rules]
+        vals = np.split(mmse_curve(c, np.concatenate([x.ravel(), *far]), hermite_order),
+                        np.cumsum([x.size, far[0].size]))
+        with np.errstate(divide="ignore"):  # an underflowed mmse gives -inf, a zero term
+            tails = tuple((np.log(xf), np.log(rule.weights) + rule.nodes + np.log(v) - math.log(alpha))
+                          for rule, xf, v in zip(rules, far, vals[1:]))
+        _MELLIN_NODES[key] = (x, half, vals[0].reshape(x.shape), tails)
+    return _MELLIN_NODES[key]
+
+
+def _far_tail(t: float, log_x: np.ndarray, log_rest: np.ndarray) -> float:
+    """int_{x_hi}^inf x^(t-1) mmse(x) dx, summed in log space."""
+    log_terms = log_rest + (t - 1.0) * log_x
+    finite = log_terms[np.isfinite(log_terms)]
+    if finite.size == 0:
+        return 0.0
+    shift = finite.max()
+    return math.exp(shift) * float(np.exp(finite - shift).sum())
 
 
 def mellin_mmse(
@@ -92,59 +170,48 @@ def mellin_mmse(
     hermite_order: int = 40,
     tail_order: int = 150,
 ) -> float:
-    """Mellin moment int_0^inf x^(t-1) mmse(x) dx of the bit-convention MMSE.
+    """Mellin moment int_0^inf x^(t-1) mmse(x) dx of the bit-convention MMSE, t >= 1.
 
-    Adaptive quadrature handles (0, 1] (integrand is O(x^(t-1))) and
-    [1, 1 + 34/alpha] where alpha = d_min^2 / 8 sets the exponential decay
-    rate of the MMSE; the integrand there has x^(-1/2)-type structure that a
-    fixed rule resolves poorly. Beyond that the remaining mass is below 1e-13
-    of the total and a Gauss-Laguerre rule under the substitution
-    x = x_hi + u / alpha (absorbing the decay into the e^{-u} weight) finishes
-    the tail. Raises RuntimeError when the pieces disagree with their error
-    estimates at the 1e-8 relative target. Results are memoized.
+    With alpha = d_min^2 / 8 (the MMSE decays like e^{-2 alpha x}), the head
+    [0, x_hi], x_hi = 1 + 34 / alpha, is covered by 8-node Gauss-Legendre
+    panels: one on [0, 1e-10 x_hi], then log-spaced at 4 per decade up to
+    0.05 / d_min^2 and 8 per decade beyond, with edges at the kernel's order
+    switches g d_min^2 = 1.5 and 130, and none wider than 0.5 / alpha. Beyond
+    x_hi a Gauss-Laguerre rule under x = x_hi + u / alpha integrates the
+    tail. That is 116-117 panels (928-936 nodes) and 250 tail nodes for any
+    QAM or PSK, tabulated in one mmse_curve call per alphabet and Hermite
+    order and cached, so each t is one weighted sum. Against panels 4x as
+    dense the head agrees to 2e-13 relative for t from 1 to 41 on BPSK,
+    4-, 16-, 64- and 256-QAM, 8- and 16-PSK.
+
+    Two self-checks cost no kernel calls. Per panel, the integrand's top
+    Legendre coefficients, extrapolated along their decay, estimate the
+    panel error; this is an estimate, not a bound: it stays below 1.1e-9 of
+    the moment on the alphabets above, and exceeds 1e-8 at every t when the
+    panels are 8x coarser. The tail is recomputed at 2/3 of tail_order.
+    Raises RuntimeError when either misses the 1e-8 relative target, and
+    ValueError for t < 1, where x^(t-1) is singular at 0.
     """
-    if t <= 0.0:
-        raise ValueError(f"mellin order must be positive, got {t}")
-    cache_key = (c.points.tobytes(), float(t), hermite_order, tail_order)
-    if cache_key in _MELLIN_CACHE:
-        return _MELLIN_CACHE[cache_key]
+    if not t >= 1.0:
+        raise ValueError(f"mellin order must be >= 1, got {t}")
+    x, half, mmse, tails = _mellin_nodes(c, hermite_order, tail_order)
+    f = x ** (t - 1.0) * mmse
+    head = float(half @ (f @ _GL_WEIGHTS))
+    coef = np.abs(f @ _GL_TO_LEGENDRE)
+    top = coef[:, 6] + coef[:, 7]
+    # a_k ~ rho^-k: a_2, a_3 -> a_6, a_7 is rho^-4, and a_7 -> a_16, which
+    # limits an 8-node rule, is rho^-9
+    decay = np.minimum(top / np.maximum(coef[:, 2] + coef[:, 3], np.finfo(float).tiny), 1.0)
+    head_err = float(half @ (top * decay**2.25))
 
-    def integrand(x: float) -> float:
-        return x ** (t - 1.0) * mmse_curve(c, x, hermite_order)[0]
-
-    head, head_err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200)
-
-    alpha = c.d_min**2 / 8.0
-    x_hi = 1.0 + 34.0 / alpha
-    mid, mid_err = quad(integrand, 1.0, x_hi, epsabs=1e-14, epsrel=1e-10, limit=400)
-
-    def far_tail_at(order: int) -> float:
-        rule = gauss_laguerre(order)
-        x = x_hi + rule.nodes / alpha
-        vals = mmse_curve(c, x, hermite_order)
-        with np.errstate(divide="ignore"):
-            log_terms = (
-                np.log(rule.weights)
-                + rule.nodes
-                + (t - 1.0) * np.log(x)
-                + np.where(vals > 0.0, np.log(vals), -np.inf)
-            )
-        finite = log_terms[np.isfinite(log_terms)]
-        if finite.size == 0:
-            return 0.0
-        shift = finite.max()
-        return math.exp(shift) * float(np.exp(finite - shift).sum()) / alpha
-
-    far = far_tail_at(tail_order)
-    far_check = far_tail_at(max(10, int(tail_order * 2 / 3)))
-    total = head + mid + far
-    budget = 1e-8 * max(abs(total), 1e-300)
-    if abs(far - far_check) > budget + 1e-13 or head_err + mid_err > 10.0 * budget + 1e-12:
+    far, far_check = (_far_tail(t, *tail) for tail in tails)
+    total = head + far
+    budget = _MELLIN_RTOL * max(abs(total), 1e-300)
+    if abs(far - far_check) > budget + 1e-13 or head_err > budget:
         raise RuntimeError(
-            f"mellin quadrature not converged: far tail {far!r} vs {far_check!r}, "
-            f"adaptive error estimates {head_err!r} + {mid_err!r}"
+            f"mellin quadrature not converged at t={t}: far tail {far!r} vs {far_check!r}, "
+            f"panel error estimate {head_err!r} against total {total!r}"
         )
-    _MELLIN_CACHE[cache_key] = total
     return total
 
 
@@ -182,7 +249,7 @@ def asymptote_coop(
     """
     q = quadratic_forms(ensemble, phases)
     k = q.size
-    log_d = (gammaln(k + 1.0) + float(np.sum(np.log(q))) - math.log(mellin_k1)) / k
+    log_d = (math.lgamma(k + 1.0) + float(np.sum(np.log(q))) - math.log(mellin_k1)) / k
     d = math.exp(log_d)
 
     def asymptote(gamma_bar):

@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+import numpy.random  # loaded lazily by numpy 2; every CLI command draws from it
 
 from .quadrature import gauss_hermite
 
@@ -49,6 +49,25 @@ __all__ = [
 # Quadratic forms at or below this fraction of trace(R_k) count as a nulled user.
 _NULL_EPS = 1e-12
 _MAX_SERIES_TERMS = 10_000
+
+# ln Gamma(n) at integer n, indexed by n; Gamma has a pole at 0. Grown on demand.
+_LOG_GAMMA = np.array([math.inf])
+_LOG_GAMMA.flags.writeable = False
+
+
+def log_gamma_range(start: int, stop: int) -> np.ndarray:
+    """ln Gamma(n) for the integers start <= n < stop, as a read-only view.
+
+    The values come from a table filled with math.lgamma and doubled whenever a
+    larger argument is asked for, so a call is one slice of a cached array.
+    """
+    global _LOG_GAMMA
+    size = _LOG_GAMMA.size
+    if stop > size:
+        grown = np.concatenate((_LOG_GAMMA, [math.lgamma(n) for n in range(size, max(stop, 2 * size))]))
+        grown.flags.writeable = False
+        _LOG_GAMMA = grown
+    return _LOG_GAMMA[start:stop]
 
 
 class NulledUserError(ValueError):
@@ -357,23 +376,11 @@ class MrcLaw:
                 + (shape[:, None] - 1.0) * np.log(xl)[None, :]
                 - xl[None, :] / self.gamma_min
                 - shape[:, None] * math.log(self.gamma_min)
-                - gammaln(shape)[:, None]
+                - log_gamma_range(self.K, self.K + self.L + 1)[:, None]
             )
             out[pos] = np.exp(logt).sum(axis=0)
         if self.K == 1 and np.any(x == 0.0):
             out[x == 0.0] = self.coeffs[0] / self.gamma_min
-        return float(out[0]) if scalar else out
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        if pos.any():
-            shape = self.K + np.arange(self.L + 1)
-            comp = gammainc(shape[:, None], x[pos][None, :] / self.gamma_min)
-            out[pos] = self.coeffs @ comp
         return float(out[0]) if scalar else out
 
 

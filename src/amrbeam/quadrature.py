@@ -1,20 +1,23 @@
 """Gauss-Laguerre and Gauss-Hermite quadrature rules.
 
-Nodes come from the Golub-Welsch symmetric-tridiagonal eigenproblem and are
-polished by Newton iterations on the orthonormal-polynomial recurrence.
-Weights are the Christoffel numbers 1 / sum_k p_k(x)^2 of the orthonormal
-family, which stays O(1) near the nodes and avoids factorial overflow at
-high order. Laguerre weights include the e^{-x} measure, Hermite weights the
-e^{-x^2} measure.
+Nodes are the eigenvalues of the Golub-Welsch Jacobi matrix, formed densely
+(order <= 200) and solved with numpy's symmetric eigensolver, then polished
+by Newton iterations on the orthonormal-polynomial recurrence to a relative
+step below 1e-14. Weights are the Christoffel numbers 1 / sum_k p_k(x)^2 of
+the orthonormal family, which stays O(1) near the nodes and avoids factorial
+overflow at high order. Laguerre weights include the e^{-x} measure, Hermite
+weights the e^{-x^2} measure. The dense solve is slower than a tridiagonal
+one, so each rule is built once per (kind, order) and cached; its arrays are
+read-only because every caller shares them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "gauss_hermite"]
 
@@ -73,6 +76,7 @@ def _orthonormal_scan(kind: str, order: int, x: np.ndarray):
     return p, dp, accum
 
 
+@lru_cache(maxsize=None)
 def _rule(kind: str, order: int) -> QuadratureRule:
     if not 1 <= order <= _MAX_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {order}")
@@ -81,7 +85,7 @@ def _rule(kind: str, order: int) -> QuadratureRule:
     if order == 1:
         nodes = diag.copy()
     else:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     # Newton polish on the orthonormal recurrence; residual target 1e-14.
     for _ in range(8):
@@ -109,17 +113,20 @@ def _rule(kind: str, order: int) -> QuadratureRule:
         if abs(weights.sum() - math.sqrt(math.pi)) > 1e-10:
             raise RuntimeError(f"hermite weights sum to {weights.sum()!r} at order {order}")
 
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(kind=kind, order=order, nodes=nodes, weights=weights)
 
 
 def gauss_laguerre(order: int) -> QuadratureRule:
     """Rule for integrals of the form int_0^inf f(x) e^{-x} dx.
 
-    Exact for polynomials up to degree 2*order - 1.
+    Exact for polynomials up to degree 2*order - 1. The rule is cached: every
+    call with the same order returns the same read-only object.
     """
     return _rule("laguerre", order)
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Rule for integrals of the form int_-inf^inf f(x) e^{-x^2} dx."""
+    """Rule for integrals of the form int_-inf^inf f(x) e^{-x^2} dx (cached, read-only)."""
     return _rule("hermite", order)

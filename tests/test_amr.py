@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as sgamma
 
+from amrbeam import amr as amr_module
 from amrbeam import (
     DirectInfo,
     PhaseVector,
@@ -15,6 +16,8 @@ from amrbeam import (
     effective_snrs,
     fit_gap_slope,
     make_ensemble,
+    make_psk,
+    make_qam,
     mellin_mmse,
     min_snr_law,
     mmse_curve,
@@ -135,6 +138,49 @@ def test_mellin_ordering_and_finiteness(bpsk, qam4):
     assert math.isfinite(m3_q) and m3_q > 0.0
     with pytest.raises(ValueError):
         mellin_mmse(qam4, 0.0)
+    with pytest.raises(ValueError):
+        mellin_mmse(qam4, 0.5)  # t < 1 is refused: x^(t-1) is singular at 0
+
+
+@pytest.mark.parametrize("kind,order", [("psk", 2), ("qam", 4), ("qam", 16), ("psk", 8)])
+def test_mellin_matches_panels_four_times_as_dense(kind, order):
+    c = make_psk(order) if kind == "psk" else make_qam(order)
+    edges = amr_module._mellin_panels(c.d_min)
+    edges = np.append(np.concatenate(
+        [np.linspace(a, b, 5)[:-1] for a, b in zip(edges[:-1], edges[1:])]), edges[-1])
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * xg
+    m = mmse_curve(c, x.ravel(), 40).reshape(x.shape)
+    for t in (2, 3, 5):
+        # beyond the last edge lies less than 1e-24 of the moment for t <= 5
+        ref = float(np.sum(half * wg * x ** (t - 1.0) * m))
+        assert abs(mellin_mmse(c, t) - ref) <= 1e-10 * ref
+
+
+def test_mellin_tabulates_once_per_alphabet(monkeypatch, qam4):
+    mellin_mmse(qam4, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mmse_curve(*args, **kwargs)
+
+    monkeypatch.setattr(amr_module, "mmse_curve", counting)
+    for t in (2, 3, 5, 9, 17):
+        assert math.isfinite(mellin_mmse(qam4, t))
+    assert calls == []
+    monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
+    mellin_mmse(qam4, 33)
+    assert len(calls) == 1
+
+
+def test_mellin_self_check_rejects_a_coarse_node_set(monkeypatch, qam4, bpsk):
+    monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
+    monkeypatch.setattr(amr_module, "_PANELS_PER_DECADE", 1)
+    for c in (qam4, bpsk):
+        with pytest.raises(RuntimeError, match="not converged"):
+            mellin_mmse(c, 2)
 
 
 def test_asymptote_noncoop_identity_ensembles(qam4, rng):

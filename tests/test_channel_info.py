@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from amrbeam import (
     DirectInfo,
     build_table,
+    InfoTable,
     gauss_hermite,
-    interpolate_mi,
     load_info_table,
     make_custom,
     make_psk,
@@ -146,10 +146,84 @@ def test_table_lookup_identities(table_qam4, qam4):
     for i in idx:
         g = table_qam4.snr_grid[i]
         assert table_qam4.mi(g) == pytest.approx(table_qam4.mi_values[i], abs=5e-16)
-    assert interpolate_mi(table_qam4, 0.0) == 0.0
-    assert interpolate_mi(table_qam4, 10.0 * table_qam4.snr_grid[-1]) == pytest.approx(
+    assert table_qam4.mi(0.0) == 0.0
+    assert table_qam4.mi(10.0 * table_qam4.snr_grid[-1]) == pytest.approx(
         qam4.bits, abs=1e-9
     )
+
+
+def _hermite_reference(table, gamma):
+    """The clamped cubic Hermite interpolant, written with its basis functions."""
+    u = np.log10(table.snr_grid)
+    y = table.mi_values
+    s = table.mmse_values * table.snr_grid * math.log(10.0)
+    secant = np.diff(y) / np.diff(u)
+    for i, d in enumerate(secant):  # Fritsch-Carlson clamp, one interval at a time
+        if d == 0.0:
+            s[i] = s[i + 1] = 0.0
+        else:
+            s[i] = min(s[i], 3.0 * d)
+            s[i + 1] = min(s[i + 1], 3.0 * d)
+    out = []
+    for g in np.atleast_1d(gamma):
+        if g < table.snr_grid[0]:
+            out.append(g * y[0] / table.snr_grid[0])
+            continue
+        if g > table.snr_grid[-1]:
+            out.append(table.constellation.bits)
+            continue
+        x = math.log10(g)
+        i = min(int(np.searchsorted(u, x, side="right")) - 1, u.size - 2)
+        h = u[i + 1] - u[i]
+        tau = (x - u[i]) / h
+        h00, h10 = 2 * tau**3 - 3 * tau**2 + 1, tau**3 - 2 * tau**2 + tau
+        h01, h11 = -2 * tau**3 + 3 * tau**2, tau**3 - tau**2
+        out.append(h00 * y[i] + h * h10 * s[i] + h01 * y[i + 1] + h * h11 * s[i + 1])
+    return np.clip(out, 0.0, table.constellation.bits)
+
+
+def test_table_mi_is_the_clamped_cubic_hermite(table_qam4, rng):
+    u = np.log10(table_qam4.snr_grid)
+    mids = 10.0 ** (0.5 * (u[1:] + u[:-1]))
+    inside = 10.0 ** rng.uniform(u[0], u[-1], 500)
+    below = table_qam4.snr_grid[0] * np.array([0.0, 1e-6, 0.3, 0.999])
+    above = table_qam4.snr_grid[-1] * np.array([1.001, 10.0, 1e6])
+    for g in (table_qam4.snr_grid, mids, inside, below, above):
+        assert np.max(np.abs(table_qam4.mi(g) - _hermite_reference(table_qam4, g))) <= 1e-15
+    assert np.array_equal(table_qam4.mi(table_qam4.snr_grid), table_qam4.mi_values)
+    assert np.array_equal(table_qam4.mi(above), np.full(3, 2.0))
+    assert table_qam4.mi(below[1]) == below[1] * table_qam4.mi_values[0] / table_qam4.snr_grid[0]
+    value = table_qam4.mi(float(mids[7]))
+    assert type(value) is float
+    assert value == pytest.approx(_hermite_reference(table_qam4, mids[7])[0], abs=1e-15)
+    assert type(table_qam4.mi(np.float64(0.5))) is float
+
+
+def test_table_mi_clamps_both_knot_slopes(qam4):
+    # slopes far above 3x the secants, and a flat interval, make every clamp bind
+    grid = 10.0 ** (np.arange(6) / 10.0)
+    table = InfoTable(constellation=qam4, snr_grid=grid,
+                      mi_values=np.array([0.1, 0.1, 0.5, 1.9, 1.95, 2.0]),
+                      mmse_values=np.full(6, 5.0), hermite_order=40,
+                      db_min=0.0, db_max=5.0, points_per_decade=10)
+    g = 10.0 ** np.linspace(0.0, 0.5, 201)
+    # the terms reach ~4 here, so the two forms round apart by a few ulps of 4
+    assert np.max(np.abs(table.mi(g) - _hermite_reference(table, g))) <= 4e-15
+    assert np.all(np.diff(table.mi(g)) >= 0.0)
+
+
+def test_table_refuses_a_grid_not_uniform_in_log10(table_qam4):
+    fields = dict(constellation=table_qam4.constellation, hermite_order=40,
+                  db_min=-10.0, db_max=10.0, points_per_decade=10)
+    grid = 10.0 ** (np.array([-10.0, -9.0, -7.5, -7.0]) / 10.0)
+    values = dict(mi_values=np.linspace(0.1, 0.4, 4), mmse_values=np.full(4, 1.0))
+    with pytest.raises(ValueError):
+        InfoTable(snr_grid=grid, **values, **fields)
+    with pytest.raises(ValueError):
+        InfoTable(snr_grid=grid[:1], mi_values=values["mi_values"][:1],
+                  mmse_values=values["mmse_values"][:1], **fields)
+    uniform = 10.0 ** (np.array([-10.0, -9.0, -8.0, -7.0]) / 10.0)
+    assert InfoTable(snr_grid=uniform, **values, **fields).mi(uniform[1]) == pytest.approx(0.2)
 
 
 def test_table_interpolation_accuracy(table_qam4, qam4, rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaln
 from scipy.stats import expon, gamma as sgamma, kstest
 
 from amrbeam import (
@@ -19,6 +20,7 @@ from amrbeam import (
     mrc_law,
     wrap_phase,
 )
+from amrbeam.channel_model import log_gamma_range
 
 
 def test_wrap_phase_edges():
@@ -162,6 +164,23 @@ def test_harmonic_min_sum_ordering(rng):
         assert gammas.min() <= gammas.sum() + 1e-15
 
 
+def test_log_gamma_table_matches_gammaln():
+    ref = gammaln(np.arange(1, 2700.0))
+    vals = log_gamma_range(1, 2700)
+    assert vals.size == ref.size
+    assert np.all(np.abs(vals - ref) <= 1e-15 * np.abs(ref))
+    assert np.array_equal(log_gamma_range(40, 45), vals[39:44])  # indexed by the argument
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+
+
+def mrc_cdf(law, x):
+    """CDF of the gamma-series law: sum_l c_l P(K + l, x / gamma_min), 0 for x <= 0."""
+    x = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    shape = law.K + np.arange(law.L + 1)
+    return law.coeffs @ gammainc(shape[:, None], x[None, :] / law.gamma_min)
+
+
 def test_mrc_law_equal_gammas_is_erlang():
     law = mrc_law([2.0, 2.0, 2.0], 1e-10)
     assert law.L == 0
@@ -169,7 +188,7 @@ def test_mrc_law_equal_gammas_is_erlang():
     assert law.tail_bound == 0.0
     xs = np.linspace(0.05, 30, 50)
     assert np.allclose(law.pdf(xs), sgamma.pdf(xs, a=3, scale=2.0), atol=1e-14)
-    assert np.allclose(law.cdf(xs), sgamma.cdf(xs, a=3, scale=2.0), atol=1e-12)
+    assert np.allclose(mrc_cdf(law, xs), sgamma.cdf(xs, a=3, scale=2.0), atol=1e-12)
 
 
 def test_mrc_law_hypoexponential_closed_form():
@@ -189,7 +208,7 @@ def test_mrc_law_invariants(rng):
         assert law.coeffs.sum() == pytest.approx(1.0, abs=10 * law.tail_bound + 1e-13)
         xs = np.linspace(0.0, 50.0, 300)
         assert np.all(law.pdf(xs) >= 0.0)
-        assert law.cdf(1e3 * gammas.sum()) == pytest.approx(1.0, abs=1e-8)
+        assert mrc_cdf(law, 1e3 * gammas.sum())[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_mrc_law_normalization_by_quadrature():
@@ -206,7 +225,7 @@ def test_mrc_law_ks_against_mc(rng):
         gammas = rng.uniform(0.2, 3.0, k)
         law = mrc_law(gammas, 1e-10)
         draws = rng.exponential(gammas, size=(10**6, k)).sum(axis=1)
-        assert kstest(draws, lambda x: law.cdf(x)).statistic < 0.002
+        assert kstest(draws, lambda x: mrc_cdf(law, x)).statistic < 0.002
 
 
 def test_mrc_law_k1_degenerates_to_exponential():

@@ -84,3 +84,27 @@ def test_module_entry_point_writes_output(tiny_config, tmp_path):
     )
     assert proc.returncode in (0, 1), proc.stderr
     assert (tmp_path / "out" / "validation.csv").is_file()
+
+
+def test_cli_run_path_loads_no_scipy(tiny_config, tmp_path):
+    # every subcommand runs in one fresh interpreter; a lazy scipy import on the
+    # run path would leave scipy in sys.modules, not just slow the import
+    script = "\n".join([
+        "import sys",
+        "from amrbeam.cli import run",
+        f"cfg, out = {tiny_config!r}, {str(tmp_path)!r}",
+        "for args in (['evaluate', '--mc-samples', '10000'], ['asymptotics'], ['validate'],",
+        "             ['convergence', '--optimizer', 'ga']):",
+        "    code = run(args + ['--config', cfg, '--seed', '1', '--out', out + '/' + args[0]])",
+        "    assert code == 0 or (args[0] == 'validate' and code == 1), (args, code)",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for name in ("evaluate/amr_table.csv", "asymptotics/gaps.csv", "validate/validation.csv",
+                 "convergence/trace_ga.csv"):
+        assert (tmp_path / name).is_file()

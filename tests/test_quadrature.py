@@ -84,3 +84,13 @@ def test_order_bounds(order):
         gauss_laguerre(order)
     with pytest.raises(ValueError):
         gauss_hermite(order)
+
+
+def test_rules_are_cached_and_read_only():
+    for make in (gauss_laguerre, gauss_hermite):
+        rule = make(150)
+        assert make(150) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
