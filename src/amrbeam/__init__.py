@@ -4,7 +4,6 @@ analog beamforming: evaluation, high-SNR asymptotics, and phase optimization."""
 __version__ = "0.1.0"
 
 from .amr import (
-    AmrReport,
     SaturationGap,
     amr_coop,
     amr_noncoop,
@@ -12,23 +11,18 @@ from .amr import (
     asymptote_noncoop,
     fit_gap_slope,
     mellin_mmse,
-    report_coop,
-    report_noncoop,
 )
 from .channel_info import (
     DirectInfo,
     InfoTable,
     build_table,
-    load_info_table,
     mi_curve,
     mmse,
     mmse_curve,
     mutual_information,
-    save_info_table,
 )
 from .channel_model import (
     ChannelEnsemble,
-    MinSnrLaw,
     MrcLaw,
     NulledUserError,
     PhaseVector,
@@ -40,28 +34,16 @@ from .channel_model import (
     mrc_law,
     wrap_phase,
 )
-from .constellation import (
-    Constellation,
-    constellation_from_json,
-    constellation_to_json,
-    make_custom,
-    make_psk,
-    make_qam,
-)
+from .constellation import Constellation, make_custom, make_psk, make_qam
 from .genetic_opt import GaConfig, GaResult, fitness, ga_optimize
 from .manifold_opt import (
     CompositeSnrObjective,
     LogGainSumObjective,
     RmCgdConfig,
     RmCgdResult,
-    composite_snr,
-    composite_snr_grad,
-    log_gain_sum,
-    log_gain_sum_grad,
     retract,
     riemannian_grad,
     rm_cgd,
-    rm_cgd_multistart,
     transport,
 )
 from .mc_sim import McEstimate, mc_amr, sample_effective_gains

@@ -14,9 +14,6 @@ The Mellin moments come from one fixed node set per alphabet and Hermite
 order: composite Gauss-Legendre panels plus a Gauss-Laguerre far tail, with
 the MMSE tabulated on all of it in a single mmse_curve call, so each moment
 order t is a weighted sum over the same values (see mellin_mmse).
-Inside the cooperative gain the product of per-user SNRs is read as the
-SNR-normalized quadratic forms so that the average SNR appears only in the
-explicit (d * snr)^(-K) factor; AmrReport records that convention.
 
 All functions are pure over immutable inputs and safe for parallel sweeps.
 """
@@ -24,7 +21,6 @@ All functions are pure over immutable inputs and safe for parallel sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +30,6 @@ from .channel_model import (
     MrcLaw,
     PhaseVector,
     log_gamma_range,
-    min_snr_law,
-    mrc_law,
     quadratic_forms,
 )
 from .constellation import Constellation
@@ -47,10 +41,7 @@ __all__ = [
     "mellin_mmse",
     "asymptote_noncoop",
     "asymptote_coop",
-    "AmrReport",
     "SaturationGap",
-    "report_noncoop",
-    "report_coop",
     "fit_gap_slope",
 ]
 
@@ -244,8 +235,10 @@ def asymptote_coop(
 ):
     """High-SNR law of the joint-decoding rate: log2(M) - (d * gamma_bar)^(-K).
 
-    d = (K! * prod_k q_k / mellin_k1)^(1/K) with the SNR-normalized gains
-    q_k = f^H R_k f, evaluated in log space to stay finite for large K.
+    d = (K! * prod_k q_k / mellin_k1)^(1/K), evaluated in log space to stay
+    finite for large K. The product of per-user SNRs is read through the
+    SNR-normalized gains q_k = f^H R_k f, not gamma_bar * q_k, so the average
+    SNR appears only in the explicit (d * gamma_bar)^(-K) factor.
     """
     q = quadratic_forms(ensemble, phases)
     k = q.size
@@ -256,98 +249,6 @@ def asymptote_coop(
         return log2_m - (d * np.asarray(gamma_bar, dtype=float)) ** (-float(k))
 
     return d, asymptote
-
-
-@dataclass
-class AmrReport:
-    """One evaluated operating point with its high-SNR constants."""
-
-    scenario: str
-    amr_bits: float
-    asymptote_bits: float
-    array_gain: float
-    diversity_order: float
-    mellin_const: float
-    quadrature_order: int
-    series_truncation: int | None = None
-    gamma_non: float | None = None
-    gammas: list | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.amr_bits:
-            raise ValueError(f"amr_bits must be >= 0, got {self.amr_bits}")
-        if not (self.array_gain > 0.0 and math.isfinite(self.array_gain)):
-            raise ValueError(f"array gain must be positive finite, got {self.array_gain}")
-
-    def to_row(self) -> dict:
-        row = {
-            "scenario": self.scenario,
-            "amr_bits": self.amr_bits,
-            "asymptote_bits": self.asymptote_bits,
-            "array_gain": self.array_gain,
-            "diversity_order": self.diversity_order,
-            "mellin_const": self.mellin_const,
-            "quadrature_order": self.quadrature_order,
-            "series_truncation": self.series_truncation,
-            "gamma_non": self.gamma_non,
-        }
-        row.update(self.metadata)
-        return row
-
-
-def report_noncoop(
-    info,
-    ensemble: ChannelEnsemble,
-    phases: PhaseVector,
-    rule: QuadratureRule,
-    mellin2: float,
-) -> AmrReport:
-    """Evaluate the weakest-user rate at the ensemble's SNR with provenance."""
-    gammas = ensemble.gamma_bar * quadratic_forms(ensemble, phases)
-    law = min_snr_law(gammas)
-    amr = amr_noncoop(info, law.gamma_non, rule)
-    bits = info.constellation.bits
-    d, asym = asymptote_noncoop(ensemble, phases, mellin2, bits)
-    return AmrReport(
-        scenario="non_cooperative",
-        amr_bits=amr,
-        asymptote_bits=float(asym(ensemble.gamma_bar)),
-        array_gain=d,
-        diversity_order=1.0,
-        mellin_const=mellin2,
-        quadrature_order=rule.order,
-        gamma_non=law.gamma_non,
-        gammas=[float(g) for g in gammas],
-    )
-
-
-def report_coop(
-    info,
-    ensemble: ChannelEnsemble,
-    phases: PhaseVector,
-    rule: QuadratureRule,
-    mellin_k1: float,
-    tol: float = 1e-10,
-) -> AmrReport:
-    """Evaluate the joint-decoding rate at the ensemble's SNR with provenance."""
-    gammas = ensemble.gamma_bar * quadratic_forms(ensemble, phases)
-    law = mrc_law(gammas, tol)
-    amr = amr_coop(info, law, rule)
-    bits = info.constellation.bits
-    d, asym = asymptote_coop(ensemble, phases, mellin_k1, bits)
-    return AmrReport(
-        scenario="cooperative",
-        amr_bits=amr,
-        asymptote_bits=float(asym(ensemble.gamma_bar)),
-        array_gain=d,
-        diversity_order=float(ensemble.K),
-        mellin_const=mellin_k1,
-        quadrature_order=rule.order,
-        series_truncation=law.L,
-        gammas=[float(g) for g in gammas],
-        metadata={"array_gain_uses_normalized_forms": True, "series_tail_bound": law.tail_bound},
-    )
 
 
 class SaturationGap:

@@ -42,15 +42,13 @@ below double precision and the requested order is used as-is.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .constellation import Constellation, constellation_from_json, constellation_to_json
+from .constellation import Constellation
 from .quadrature import gauss_hermite
 
 __all__ = [
@@ -61,15 +59,11 @@ __all__ = [
     "InfoTable",
     "DirectInfo",
     "build_table",
-    "save_info_table",
-    "load_info_table",
 ]
 
 _LN2 = math.log(2.0)
 # Floor keeping tabulated mmse strictly positive after underflow at extreme SNR.
 _MMSE_FLOOR = 1e-300
-
-_TABLE_FORMAT_VERSION = 1
 
 # Structure detection treats points closer than this multiple of d_min as equal.
 _STRUCTURE_TOL = 1e-9
@@ -272,10 +266,6 @@ class InfoTable:
     snr_grid: np.ndarray
     mi_values: np.ndarray
     mmse_values: np.ndarray
-    hermite_order: int
-    db_min: float
-    db_max: float
-    points_per_decade: int
     _knots: np.ndarray = field(init=False, repr=False)
     _per_step: float = field(init=False, repr=False)
     _cubics: np.ndarray = field(init=False, repr=False)
@@ -298,15 +288,6 @@ class InfoTable:
         self._knots = u
         self._per_step = 1.0 / step
         self._cubics = np.stack((bend / du, (secant - s[:-1]) / du - bend, s[:-1], y[:-1]))
-
-    def key(self) -> dict:
-        return {
-            "constellation_label": self.constellation.label,
-            "db_min": self.db_min,
-            "db_max": self.db_max,
-            "points_per_decade": self.points_per_decade,
-            "hermite_order": self.hermite_order,
-        }
 
     def mi(self, gamma):
         """Interpolated mutual information in bits (scalar in, scalar out)."""
@@ -360,16 +341,7 @@ def build_table(
     mi = np.maximum.accumulate(np.clip(mi, 0.0, c.bits))
     mm = np.minimum.accumulate(np.maximum(mm, _MMSE_FLOOR))
 
-    return InfoTable(
-        constellation=c,
-        snr_grid=snr,
-        mi_values=mi,
-        mmse_values=mm,
-        hermite_order=hermite_order,
-        db_min=float(db_min),
-        db_max=float(db_max),
-        points_per_decade=int(points_per_decade),
-    )
+    return InfoTable(constellation=c, snr_grid=snr, mi_values=mi, mmse_values=mm)
 
 
 class DirectInfo:
@@ -388,55 +360,3 @@ class DirectInfo:
         scalar = g.ndim == 0
         vals = _mi_at(self.constellation, np.atleast_1d(g), self.hermite_order)
         return float(vals[0]) if scalar else vals
-
-    def mmse(self, gamma):
-        g = np.asarray(gamma, dtype=float)
-        scalar = g.ndim == 0
-        vals = _mmse_at(self.constellation, np.atleast_1d(g), self.hermite_order)
-        return float(vals[0]) if scalar else vals
-
-
-def save_info_table(table: InfoTable, path) -> None:
-    """Write a versioned JSON cache file for the table."""
-    payload = {
-        "format_version": _TABLE_FORMAT_VERSION,
-        "key": table.key(),
-        "constellation": {
-            "label": table.constellation.label,
-            "points": constellation_to_json(table.constellation),
-        },
-        "snr_grid": table.snr_grid.tolist(),
-        "mi_values": table.mi_values.tolist(),
-        "mmse_values": table.mmse_values.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_info_table(path, expected_key: dict | None = None) -> InfoTable | None:
-    """Load a cached table; returns None on a missing file or any key mismatch."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError):
-        return None
-    if payload.get("format_version") != _TABLE_FORMAT_VERSION:
-        return None
-    key = payload.get("key", {})
-    if expected_key is not None and key != expected_key:
-        return None
-    c = constellation_from_json(
-        payload["constellation"]["points"], label=payload["constellation"]["label"]
-    )
-    return InfoTable(
-        constellation=c,
-        snr_grid=np.asarray(payload["snr_grid"]),
-        mi_values=np.asarray(payload["mi_values"]),
-        mmse_values=np.asarray(payload["mmse_values"]),
-        hermite_order=int(key["hermite_order"]),
-        db_min=float(key["db_min"]),
-        db_max=float(key["db_max"]),
-        points_per_decade=int(key["points_per_decade"]),
-    )

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
-from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy 2; every CLI command draws from it
@@ -37,7 +36,6 @@ __all__ = [
     "PhaseVector",
     "ChannelEnsemble",
     "MrcLaw",
-    "MinSnrLaw",
     "wrap_phase",
     "make_correlation",
     "make_ensemble",
@@ -229,22 +227,6 @@ class ChannelEnsemble:
             self._sqrt = out
         return self._sqrt
 
-    def to_json(self) -> dict:
-        return {
-            "snr_db": self.snr_db,
-            "metadata": self.metadata,
-            "correlations": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-                for mat in self.correlations
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ChannelEnsemble":
-        mats = np.asarray(payload["correlations"], dtype=float)
-        corr = mats[..., 0] + 1j * mats[..., 1]
-        return cls(corr, float(payload["snr_db"]), dict(payload.get("metadata", {})))
-
 
 def make_ensemble(
     k: int,
@@ -283,22 +265,27 @@ def make_ensemble(
     return ChannelEnsemble(np.stack(mats), float(snr_db), meta)
 
 
-def quadratic_forms(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray:
-    """Per-user beamforming gains q_k = f^H R_k f (>= 0, SNR-normalized).
+def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> np.ndarray:
+    """Quadratic forms v^H R_k v of a vector whose squared norm is ``norm_sq``.
 
-    Raises NulledUserError when any q_k falls below 1e-12 * trace(R_k) / N;
-    the multicast rate is then zero and optimizers must treat the
-    configuration as worst-case.
+    Raises NulledUserError when any form is at or below
+    1e-12 * trace(R_k) * norm_sq / N: the multicast rate is then zero and
+    optimizers must treat the configuration as worst-case. quadratic_forms
+    passes f (norm_sq 1), the surrogate objectives pass phi (norm_sq N).
     """
-    f = phases.f
-    if phases.n != ensemble.N:
-        raise ValueError(f"phase vector has {phases.n} entries, ensemble has N={ensemble.N}")
-    q = np.real(np.einsum("i,kij,j->k", np.conj(f), ensemble.correlations, f))
+    if v.size != ensemble.N:
+        raise ValueError(f"phase vector has {v.size} entries, ensemble has N={ensemble.N}")
+    q = np.real(np.einsum("i,kij,j->k", np.conj(v), ensemble.correlations, v))
     traces = np.real(np.trace(ensemble.correlations, axis1=1, axis2=2))
-    nulled = q <= _NULL_EPS * traces / ensemble.N
+    nulled = q <= _NULL_EPS * traces / (ensemble.N / norm_sq)
     if np.any(nulled):
         raise NulledUserError(f"users {np.nonzero(nulled)[0].tolist()} are nulled by the beamformer")
     return q
+
+
+def quadratic_forms(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray:
+    """Per-user beamforming gains q_k = f^H R_k f (>= 0, SNR-normalized)."""
+    return _checked_forms(ensemble, phases.f, 1.0)
 
 
 def effective_snrs(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray:
@@ -306,34 +293,16 @@ def effective_snrs(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray
     return ensemble.gamma_bar * quadratic_forms(ensemble, phases)
 
 
-class MinSnrLaw(NamedTuple):
-    """Distribution of the minimum per-user SNR (exponential)."""
-
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
-    gamma_non: float
-
-
-def min_snr_law(gammas) -> MinSnrLaw:
-    """Law of min_k gamma_k for independent exponentials with means gammas.
+def min_snr_law(gammas) -> float:
+    """Mean gamma_non of min_k gamma_k for independent exponentials with means gammas.
 
     The minimum is exponential with the harmonic composite mean
-    gamma_non = (sum_k 1/gamma_k)^{-1}.
+    gamma_non = (sum_k 1/gamma_k)^{-1}, which fixes its law.
     """
     g = np.asarray(gammas, dtype=float)
     if g.size == 0 or np.any(g <= 0.0):
         raise ValueError("per-user SNRs must be positive")
-    gamma_non = 1.0 / np.sum(1.0 / g)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, np.exp(-x / gamma_non) / gamma_non, 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, -np.expm1(-x / gamma_non), 0.0)
-
-    return MinSnrLaw(pdf=pdf, cdf=cdf, gamma_non=float(gamma_non))
+    return float(1.0 / np.sum(1.0 / g))
 
 
 @dataclass(eq=False)

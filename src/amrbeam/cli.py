@@ -40,7 +40,7 @@ from .channel_model import (
     mrc_law,
 )
 from .constellation import make_psk, make_qam
-from .genetic_opt import GaConfig, fitness, ga_optimize
+from .genetic_opt import GaConfig, ga_optimize
 from .manifold_opt import (
     CompositeSnrObjective,
     LogGainSumObjective,
@@ -51,6 +51,7 @@ from .mc_sim import mc_amr
 from .quadrature import gauss_laguerre
 
 OPTIMIZERS = ("rmcgd-f1", "rmcgd-f2", "ga", "random")
+_SURROGATES = {"rmcgd-f1": CompositeSnrObjective, "rmcgd-f2": LogGainSumObjective}
 SCENARIOS = {"noncoop": ["non_cooperative"], "coop": ["cooperative"],
              "both": ["non_cooperative", "cooperative"]}
 _MC_DRAWS = ("one MC draw set per phase vector, shared by its rows at every SNR and "
@@ -224,6 +225,8 @@ def parse_snr(value, fld: str = "snr_db") -> list:
                 start, stop, step = (float(p) for p in parts)
             except ValueError as ex:
                 raise ConfigError(fld, f"non-numeric range component in {value!r}") from ex
+            _require(all(map(math.isfinite, (start, stop, step))), fld,
+                     f"non-finite range component in {value!r}")
             _require(step > 0 and stop >= start, fld, "need step > 0 and stop >= start")
             out = [float(v) for v in np.arange(start, stop + step / 2.0, step)]
         else:
@@ -234,6 +237,7 @@ def parse_snr(value, fld: str = "snr_db") -> list:
     else:
         raise ConfigError(fld, f"expected list or string, got {type(value).__name__}")
     _require(len(out) > 0, fld, "SNR list is empty")
+    _require(all(map(math.isfinite, out)), fld, f"SNR values must be finite, got {out}")
     return out
 
 
@@ -316,21 +320,44 @@ class Runner:
         ext = "json" if self.fmt == "json" else "csv"
         return os.path.join(self.out, f"{name}.{ext}")
 
-    def optimizer_phases(self, method: str, snr_db: float, run_seed: int) -> PhaseVector:
-        """Phases produced by one method at one SNR (GA refits per SNR)."""
-        rng = np.random.default_rng(run_seed)
-        start = PhaseVector.random(self.cfg.n, rng)
-        ens = self.ensemble.with_snr_db(snr_db)
-        if method == "random":
-            return start
-        if method == "rmcgd-f1":
-            return rm_cgd(CompositeSnrObjective(ens), start, self.cfg.rmcgd).phases
-        if method == "rmcgd-f2":
-            return rm_cgd(LogGainSumObjective(ens), start, self.cfg.rmcgd).phases
+    def optimize(self, method: str, ens, run_seed: int):
+        """One rm_cgd (RmCgdResult) or GA (GaResult) run at ``ens``'s SNR.
+
+        rm_cgd starts from the first random phase vector of ``run_seed``; the
+        GA takes ``run_seed`` as its own seed.
+        """
         if method == "ga":
             ga_cfg = GaConfig(**{**self.cfg.ga.__dict__, "seed": run_seed})
-            return ga_optimize(ens, self.table, ga_cfg, self.rule).phases
-        raise ConfigError("optimizers", f"unknown optimizer {method!r}")
+            return ga_optimize(ens, self.table, ga_cfg, self.rule)
+        start = PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
+        return rm_cgd(_SURROGATES[method](ens), start, self.cfg.rmcgd)
+
+    def optimizer_phases(self, method: str, snr_db: float, run_seed: int) -> PhaseVector:
+        """Phases produced by one method at one SNR (GA refits per SNR)."""
+        if method == "random":
+            return PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
+        return self.optimize(method, self.ensemble.with_snr_db(snr_db), run_seed).phases
+
+    def rate(self, scenario: str, gammas):
+        """(rate in bits, law) at per-user SNRs ``gammas``.
+
+        The law is gamma_non (a float) for non_cooperative and the MrcLaw
+        for cooperative.
+        """
+        if scenario == "non_cooperative":
+            law = min_snr_law(gammas)
+            return amr_noncoop(self.table, law, self.rule), law
+        law = mrc_law(gammas, 1e-10)
+        return amr_coop(self.table, law, self.rule), law
+
+    def asymptote(self, scenario: str, ens, phases: PhaseVector):
+        """(array gain d, high-SNR asymptote of the rate at ``ens``'s SNR)."""
+        if scenario == "non_cooperative":
+            d, asym = asymptote_noncoop(ens, phases, self.mellin(2.0), self.constellation.bits)
+        else:
+            d, asym = asymptote_coop(ens, phases, self.mellin(self.cfg.k + 1.0),
+                                     self.constellation.bits)
+        return d, float(asym(ens.gamma_bar))
 
 
 def _seed_for(base: int, *parts: int) -> int:
@@ -372,32 +399,23 @@ def cmd_evaluate(runner: Runner) -> int:
             for j, ens in enumerate(ensembles):
                 gammas = effective_snrs(ens, phases)
                 for scenario in scenarios:
-                    row = {
+                    coop = scenario == "cooperative"
+                    amr, law = runner.rate(scenario, gammas)
+                    gain, asym_bits = runner.asymptote(scenario, ens, phases)
+                    est = mc[scenario][j] if mc else None
+                    rows.append({
                         "method": method,
                         "scenario": scenario,
                         "snr_db": ens.snr_db,
-                        "diversity_order": 1.0 if scenario == "non_cooperative" else float(cfg.k),
-                    }
-                    if scenario == "non_cooperative":
-                        law = min_snr_law(gammas)
-                        row["amr_bits"] = amr_noncoop(runner.table, law.gamma_non, runner.rule)
-                        row["gamma_non"] = law.gamma_non
-                        d, asym = asymptote_noncoop(ens, phases, runner.mellin(2.0),
-                                                    runner.constellation.bits)
-                        row["series_truncation"] = None
-                    else:
-                        law = mrc_law(gammas, 1e-10)
-                        row["amr_bits"] = amr_coop(runner.table, law, runner.rule)
-                        row["gamma_non"] = None
-                        d, asym = asymptote_coop(ens, phases, runner.mellin(cfg.k + 1.0),
-                                                 runner.constellation.bits)
-                        row["series_truncation"] = law.L
-                    row["array_gain"] = d
-                    row["asymptote_bits"] = float(asym(ens.gamma_bar))
-                    est = mc[scenario][j] if mc else None
-                    row["mc_mean"] = est.mean if est else None
-                    row["mc_std_error"] = est.std_error if est else None
-                    rows.append(row)
+                        "diversity_order": float(cfg.k) if coop else 1.0,
+                        "amr_bits": amr,
+                        "gamma_non": None if coop else law,
+                        "series_truncation": law.L if coop else None,
+                        "array_gain": gain,
+                        "asymptote_bits": asym_bits,
+                        "mc_mean": est.mean if est else None,
+                        "mc_std_error": est.std_error if est else None,
+                    })
     columns = ["method", "scenario", "snr_db", "amr_bits", "mc_mean", "mc_std_error",
                "asymptote_bits", "array_gain", "diversity_order", "gamma_non",
                "series_truncation"]
@@ -412,12 +430,21 @@ def cmd_convergence(runner: Runner) -> int:
     snr_db = cfg.snr_db[0]
     ens = runner.ensemble.with_snr_db(snr_db)
     for mi, method in enumerate(cfg.optimizers):
-        run_seed = _seed_for(runner.seed, mi)
-        rng = np.random.default_rng(run_seed)
-        name = method.replace("-", "_")
-        if method in ("rmcgd-f1", "rmcgd-f2"):
-            obj = (CompositeSnrObjective if method == "rmcgd-f1" else LogGainSumObjective)(ens)
-            res = rm_cgd(obj, PhaseVector.random(cfg.n, rng), cfg.rmcgd)
+        if method == "random":  # a single evaluation, nothing to trace
+            continue
+        res = runner.optimize(method, ens, _seed_for(runner.seed, mi))
+        if method == "ga":
+            rows = [
+                {
+                    "generation": i,
+                    "best": float(res.best_per_generation[i]),
+                    "mean": float(res.mean_per_generation[i]),
+                }
+                for i in range(res.generations)
+            ]
+            columns = ["generation", "best", "mean"]
+            extra = {"generations": res.generations, **res.metadata}
+        else:
             rows = [
                 {
                     "iteration": i,
@@ -427,28 +454,11 @@ def cmd_convergence(runner: Runner) -> int:
                 }
                 for i in range(len(res.objective_trace))
             ]
-            md = runner.metadata({"optimizer": method, "snr_db": snr_db,
-                                  "converged": res.converged,
-                                  "iterations": res.iterations})
-            write_rows(runner.path(f"trace_{name}"), rows,
-                       ["iteration", "objective", "grad_norm", "step"], md, runner.fmt)
-        elif method == "ga":
-            ga_cfg = GaConfig(**{**cfg.ga.__dict__, "seed": run_seed})
-            res = ga_optimize(ens, runner.table, ga_cfg, runner.rule)
-            rows = [
-                {
-                    "generation": i,
-                    "best": float(res.best_per_generation[i]),
-                    "mean": float(res.mean_per_generation[i]),
-                }
-                for i in range(res.generations)
-            ]
-            md = runner.metadata({"optimizer": method, "snr_db": snr_db,
-                                  "generations": res.generations, **res.metadata})
-            write_rows(runner.path(f"trace_{name}"), rows,
-                       ["generation", "best", "mean"], md, runner.fmt)
-        else:  # random: single evaluation, nothing to trace
-            continue
+            columns = ["iteration", "objective", "grad_norm", "step"]
+            extra = {"converged": res.converged, "iterations": res.iterations}
+        md = runner.metadata({"optimizer": method, "snr_db": snr_db, **extra})
+        write_rows(runner.path(f"trace_{method.replace('-', '_')}"), rows, columns, md,
+                   runner.fmt)
     return 0
 
 
@@ -473,12 +483,10 @@ def cmd_asymptotics(runner: Runner) -> int:
             ens = runner.ensemble.with_snr_db(snr_db)
             gammas = effective_snrs(ens, phases)
             if scenario == "non_cooperative":
-                gap = gap_eval.noncoop(min_snr_law(gammas).gamma_non)
-                d, asym = asymptote_noncoop(ens, phases, runner.mellin(2.0), bits)
+                gap = gap_eval.noncoop(min_snr_law(gammas))
             else:
                 gap = gap_eval.coop(mrc_law(gammas, 1e-12))
-                d, asym = asymptote_coop(ens, phases, runner.mellin(cfg.k + 1.0), bits)
-            pred = bits - float(asym(ens.gamma_bar))
+            pred = bits - runner.asymptote(scenario, ens, phases)[1]
             gaps.append(gap)
             gbars.append(ens.gamma_bar)
             rows.append({
@@ -523,10 +531,7 @@ def cmd_validate(runner: Runner) -> int:
     for si, ens in enumerate(ensembles):
         gammas = effective_snrs(ens, phases)
         for scenario in scenarios:
-            if scenario == "non_cooperative":
-                analytic = amr_noncoop(runner.table, min_snr_law(gammas).gamma_non, runner.rule)
-            else:
-                analytic = amr_coop(runner.table, mrc_law(gammas, 1e-10), runner.rule)
+            analytic, _ = runner.rate(scenario, gammas)
             est = mc[scenario][si]
             z = abs(analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
             ok = z <= 3.0

@@ -12,8 +12,6 @@ __all__ = [
     "make_qam",
     "make_psk",
     "make_custom",
-    "constellation_to_json",
-    "constellation_from_json",
 ]
 
 # Renormalization larger than this flips the was_renormalized flag on custom inputs.
@@ -110,16 +108,3 @@ def make_custom(points, label: str = "custom") -> Constellation:
     than 1e-9; every downstream formula assumes the normalized convention.
     """
     return _finalize(np.asarray(points, dtype=np.complex128), label=label)
-
-
-def constellation_to_json(c: Constellation) -> list[list[float]]:
-    """Serialize the point set as a JSON-ready list of [re, im] pairs."""
-    return [[float(p.real), float(p.imag)] for p in c.points]
-
-
-def constellation_from_json(pairs, label: str = "custom") -> Constellation:
-    """Rebuild a constellation from a list of [re, im] pairs."""
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected a list of [re, im] pairs")
-    return make_custom(arr[:, 0] + 1j * arr[:, 1], label=label)

@@ -14,6 +14,7 @@ from a single seeded generator, so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,14 @@ class GaConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
-        if self.tournament_size < 1 or self.max_generations < 1:
-            raise ValueError("tournament_size and max_generations must be positive")
+        if self.tournament_size < 1 or self.max_generations < 1 or self.stall_generations < 1:
+            raise ValueError("tournament_size, max_generations and stall_generations must be positive")
+        for name in ("mutation_scale", "stall_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (math.isfinite(self.mutation_decay) and self.mutation_decay > 0.0):
+            raise ValueError(f"mutation_decay must be finite and > 0, got {self.mutation_decay}")
 
 
 def fitness(

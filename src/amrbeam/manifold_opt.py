@@ -7,42 +7,36 @@ point, and the retraction renormalizes each entry to unit modulus.
 
 Gradients follow the Wirtinger convention g = df/d(conj(phi)), so the
 directional derivative of a real objective along a tangent direction d is
-2 Re<g, d>. Two objectives are provided: the harmonic-composite SNR
-(weakest-user surrogate) and the sum of log beamforming gains (joint-decoding
-surrogate, what the cooperative array gain maximizes). The search direction
+2 Re<g, d>. An objective is any object with value(phi) and euclid_grad(phi);
+two classes provide them: CompositeSnrObjective, the harmonic-composite SNR
+(weakest-user surrogate), and LogGainSumObjective, the sum of log beamforming
+gains (joint-decoding surrogate, what the cooperative array gain maximizes).
+Both share channel_model's nulled-user check. The search direction
 mixes the new gradient with the transported previous direction using a
 nonnegative Polak-Ribiere coefficient, restarting to steepest ascent whenever
 the mixed direction ascends slower than half the gradient itself; with the
 Armijo test on the directional derivative this guarantees every accepted step
 increases the objective by at least c1 * alpha * ||grad||^2.
-
-Single runs are sequential; multistart runs are independent given per-run
-seeds and parallelize trivially.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelEnsemble, PhaseVector
+from .channel_model import ChannelEnsemble, PhaseVector, _checked_forms
 
 __all__ = [
     "RmCgdConfig",
     "RmCgdResult",
     "CompositeSnrObjective",
     "LogGainSumObjective",
-    "composite_snr",
-    "composite_snr_grad",
-    "log_gain_sum",
-    "log_gain_sum_grad",
     "riemannian_grad",
     "transport",
     "retract",
     "rm_cgd",
-    "rm_cgd_multistart",
 ]
 
 
@@ -65,75 +59,46 @@ class RmCgdConfig:
             raise ValueError(f"backtracking ratio must be in (0, 1), got {self.armijo_ratio}")
 
 
-def _gains(phi: np.ndarray, ensemble: ChannelEnsemble) -> np.ndarray:
-    """Quadratic forms phi^H R_k phi with the nulled-user guard."""
-    q = np.real(np.einsum("i,kij,j->k", np.conj(phi), ensemble.correlations, phi))
-    traces = np.real(np.trace(ensemble.correlations, axis1=1, axis2=2))
-    from .channel_model import NulledUserError, _NULL_EPS
-
-    nulled = q <= _NULL_EPS * traces
-    if np.any(nulled):
-        raise NulledUserError(f"users {np.nonzero(nulled)[0].tolist()} are nulled by phi")
-    return q
-
-
-def composite_snr(phi: np.ndarray, ensemble: ChannelEnsemble) -> float:
-    """Harmonic-composite SNR (sum_k (N / gamma_bar) / (phi^H R_k phi))^-1."""
-    q = _gains(phi, ensemble)
-    n = ensemble.N
-    return 1.0 / float(np.sum((n / ensemble.gamma_bar) / q))
-
-
-def composite_snr_grad(phi: np.ndarray, ensemble: ChannelEnsemble) -> np.ndarray:
-    """Wirtinger gradient of composite_snr: value^2 * sum_k (N/gbar) R_k phi / q_k^2."""
-    q = _gains(phi, ensemble)
-    n = ensemble.N
-    scale = n / ensemble.gamma_bar
-    total = float(np.sum(scale / q))
-    rphi = np.einsum("kij,j->ki", ensemble.correlations, phi)
-    return (total**-2) * np.einsum("k,ki->i", scale / q**2, rphi)
-
-
-def log_gain_sum(phi: np.ndarray, ensemble: ChannelEnsemble) -> float:
-    """Sum of log beamforming gains sum_k log(phi^H R_k phi)."""
-    return float(np.sum(np.log(_gains(phi, ensemble))))
-
-
-def log_gain_sum_grad(phi: np.ndarray, ensemble: ChannelEnsemble) -> np.ndarray:
-    """Wirtinger gradient of log_gain_sum: sum_k R_k phi / (phi^H R_k phi)."""
-    q = _gains(phi, ensemble)
-    rphi = np.einsum("kij,j->ki", ensemble.correlations, phi)
-    return np.einsum("k,ki->i", 1.0 / q, rphi)
-
-
 class CompositeSnrObjective:
-    """Maximizing this maximizes the weakest-user average multicast rate."""
+    """Harmonic-composite SNR (sum_k (N / gamma_bar) / (phi^H R_k phi))^-1.
 
-    kind = "composite-snr"
+    Maximizing this maximizes the weakest-user average multicast rate.
+    """
 
     def __init__(self, ensemble: ChannelEnsemble):
         self.ensemble = ensemble
 
     def value(self, phi: np.ndarray) -> float:
-        return composite_snr(phi, self.ensemble)
+        q = _checked_forms(self.ensemble, phi, self.ensemble.N)
+        return 1.0 / float(np.sum((self.ensemble.N / self.ensemble.gamma_bar) / q))
 
     def euclid_grad(self, phi: np.ndarray) -> np.ndarray:
-        return composite_snr_grad(phi, self.ensemble)
+        """Wirtinger gradient: value^2 * sum_k (N/gbar) R_k phi / q_k^2."""
+        ens = self.ensemble
+        q = _checked_forms(ens, phi, ens.N)
+        scale = ens.N / ens.gamma_bar
+        total = float(np.sum(scale / q))
+        rphi = np.einsum("kij,j->ki", ens.correlations, phi)
+        return (total**-2) * np.einsum("k,ki->i", scale / q**2, rphi)
 
 
 class LogGainSumObjective:
-    """Maximizing this maximizes the cooperative high-SNR array gain."""
+    """Sum of log beamforming gains sum_k log(phi^H R_k phi).
 
-    kind = "log-gain-sum"
+    Maximizing this maximizes the cooperative high-SNR array gain.
+    """
 
     def __init__(self, ensemble: ChannelEnsemble):
         self.ensemble = ensemble
 
     def value(self, phi: np.ndarray) -> float:
-        return log_gain_sum(phi, self.ensemble)
+        return float(np.sum(np.log(_checked_forms(self.ensemble, phi, self.ensemble.N))))
 
     def euclid_grad(self, phi: np.ndarray) -> np.ndarray:
-        return log_gain_sum_grad(phi, self.ensemble)
+        """Wirtinger gradient: sum_k R_k phi / (phi^H R_k phi)."""
+        q = _checked_forms(self.ensemble, phi, self.ensemble.N)
+        rphi = np.einsum("kij,j->ki", self.ensemble.correlations, phi)
+        return np.einsum("k,ki->i", 1.0 / q, rphi)
 
 
 def riemannian_grad(euclid: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -174,10 +139,6 @@ class RmCgdResult:
     converged: bool
     line_search_failed: bool
     iterations: int
-
-    @property
-    def trace(self) -> np.ndarray:
-        return self.objective_trace
 
 
 def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> RmCgdResult:
@@ -259,21 +220,3 @@ def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> 
         line_search_failed=failed,
         iterations=it,
     )
-
-
-def rm_cgd_multistart(
-    objective,
-    n: int,
-    n_starts: int,
-    seed: int,
-    config: RmCgdConfig | None = None,
-    extra_starts: list[PhaseVector] | None = None,
-):
-    """Independent seeded restarts; returns (best result by objective, all results)."""
-    rng = np.random.default_rng(seed)
-    starts = [PhaseVector.random(n, rng) for _ in range(n_starts)]
-    if extra_starts:
-        starts.extend(extra_starts)
-    results = [rm_cgd(objective, s, config) for s in starts]
-    best = max(results, key=lambda r: r.objective_trace[-1])
-    return best, results

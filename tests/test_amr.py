@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,8 @@ from amrbeam import (
     min_snr_law,
     mmse_curve,
     mrc_law,
-    report_coop,
-    report_noncoop,
 )
+from amrbeam.cli import run
 
 # Frozen Monte Carlo oracle for E{mi(g)} with g ~ Exp(mean 1), 4-QAM:
 # table-interpolated mi over 1e6 exponential draws, seed 424242.
@@ -92,7 +92,7 @@ def test_amr_coop_random_ensemble_against_mc(table_qam4, rule50, rng):
 def test_cooperation_dominance(table_qam4, rule50, rng):
     for gs in _random_configs(rng, 50):
         coop = amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50)
-        non = amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50)
+        non = amr_noncoop(table_qam4, min_snr_law(gs), rule50)
         assert coop >= non - 1e-9
 
 
@@ -102,7 +102,7 @@ def test_amr_monotone_in_average_snr(table_qam4, rule50, rng):
     coop_prev = non_prev = -1.0
     for snr_db in np.arange(-30.0, 31.0, 3.0):
         gs = effective_snrs(e0.with_snr_db(snr_db), p)
-        non = amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50)
+        non = amr_noncoop(table_qam4, min_snr_law(gs), rule50)
         coop = amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50)
         assert non >= non_prev - 1e-12 and coop >= coop_prev - 1e-12
         non_prev, coop_prev = non, coop
@@ -110,7 +110,7 @@ def test_amr_monotone_in_average_snr(table_qam4, rule50, rng):
 
 def test_quadrature_order_self_consistency(table_qam4, rule50, rule100, rng):
     for gs in _random_configs(rng, 8):
-        gn = min_snr_law(gs).gamma_non
+        gn = min_snr_law(gs)
         assert abs(amr_noncoop(table_qam4, gn, rule50) - amr_noncoop(table_qam4, gn, rule100)) < 1e-8
         law = mrc_law(gs, 1e-10)
         assert abs(amr_coop(table_qam4, law, rule50) - amr_coop(table_qam4, law, rule100)) < 1e-8
@@ -118,7 +118,7 @@ def test_quadrature_order_self_consistency(table_qam4, rule50, rule100, rng):
 
 def test_saturation_ceiling(table_qam4, rule50, rng):
     for gs in _random_configs(rng, 10, snr_lo=30.0, snr_hi=60.0):
-        assert amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50) <= 2.0
+        assert amr_noncoop(table_qam4, min_snr_law(gs), rule50) <= 2.0
         assert amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50) <= 2.0
 
 
@@ -207,7 +207,7 @@ def test_asymptote_noncoop_gap_prediction(qam4, rng):
     gap_eval = SaturationGap(qam4, 40)
     e = make_ensemble(4, 5, 40.0, seed=5)
     p = PhaseVector.random(5, rng)
-    gap = gap_eval.noncoop(min_snr_law(effective_snrs(e, p)).gamma_non)
+    gap = gap_eval.noncoop(min_snr_law(effective_snrs(e, p)))
     d, asym = asymptote_noncoop(e, p, m2, qam4.bits)
     predicted = qam4.bits - float(asym(e.gamma_bar))
     assert abs(gap / predicted - 1.0) < 0.10
@@ -223,7 +223,7 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rule50, rng):
     p = PhaseVector.random(5, rng)
     for snr_db in np.arange(-40.0, -9.0, 5.0):
         gs = effective_snrs(e.with_snr_db(snr_db), p)
-        gn = min_snr_law(gs).gamma_non
+        gn = min_snr_law(gs)
         assert abs(gap_eval.noncoop(gn) + amr_noncoop(info, gn, rule50) - qam4.bits) < 1e-9
         law = mrc_law(gs, 1e-12)
         assert abs(gap_eval.coop(law) + amr_coop(info, law, rule50) - qam4.bits) < 1e-9
@@ -272,18 +272,19 @@ def test_fit_gap_slope_recovers_power_law():
         fit_gap_slope([1.0], [1.0], (1e-4, 1e-1))
 
 
-def test_reports(table_qam4, rule50, rng):
-    e = make_ensemble(4, 5, 0.0, seed=4)
-    p = PhaseVector.random(5, rng)
-    m2 = mellin_mmse(table_qam4.constellation, 2)
-    m5 = mellin_mmse(table_qam4.constellation, 5)
-    rn = report_noncoop(table_qam4, e, p, rule50, m2)
-    rc = report_coop(table_qam4, e, p, rule50, m5)
-    assert rn.scenario == "non_cooperative" and rc.scenario == "cooperative"
-    assert 0.0 <= rn.amr_bits <= 2.0 and 0.0 <= rc.amr_bits <= 2.0
-    assert rn.diversity_order == 1.0 and rc.diversity_order == 4.0
-    assert rn.array_gain > 0.0 and rc.array_gain > 0.0
-    assert rc.series_truncation is not None and rc.series_truncation >= 0
-    assert rc.metadata["array_gain_uses_normalized_forms"] is True
-    row = rc.to_row()
-    assert row["scenario"] == "cooperative" and "series_tail_bound" in row
+def test_reports(tmp_path):
+    # the CLI's evaluate rows are the report path: one row per scenario
+    config = {"K": 4, "N": 5, "correlation": {"seed": 4}, "snr_db": [0.0],
+              "optimizers": ["random"]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["evaluate", "--config", str(tmp_path / "config.json"), "--seed", "1",
+                "--out", str(tmp_path), "--format", "json"]) == 0
+    rows = {row["scenario"]: row
+            for row in json.loads((tmp_path / "amr_table.json").read_text())["rows"]}
+    rn, rc = rows["non_cooperative"], rows["cooperative"]
+    assert 0.0 <= rn["amr_bits"] <= 2.0 and 0.0 <= rc["amr_bits"] <= 2.0
+    assert rn["diversity_order"] == 1.0 and rc["diversity_order"] == 4.0
+    assert rn["array_gain"] > 0.0 and rc["array_gain"] > 0.0
+    assert rn["series_truncation"] is None and rn["gamma_non"] > 0.0
+    assert isinstance(rc["series_truncation"], int) and rc["series_truncation"] >= 0
+    assert rc["gamma_non"] is None

@@ -12,7 +12,6 @@ from amrbeam import (
     build_table,
     InfoTable,
     gauss_hermite,
-    load_info_table,
     make_custom,
     make_psk,
     make_qam,
@@ -20,7 +19,6 @@ from amrbeam import (
     mmse,
     mmse_curve,
     mutual_information,
-    save_info_table,
 )
 from amrbeam.channel_info import _blocks
 
@@ -204,8 +202,7 @@ def test_table_mi_clamps_both_knot_slopes(qam4):
     grid = 10.0 ** (np.arange(6) / 10.0)
     table = InfoTable(constellation=qam4, snr_grid=grid,
                       mi_values=np.array([0.1, 0.1, 0.5, 1.9, 1.95, 2.0]),
-                      mmse_values=np.full(6, 5.0), hermite_order=40,
-                      db_min=0.0, db_max=5.0, points_per_decade=10)
+                      mmse_values=np.full(6, 5.0))
     g = 10.0 ** np.linspace(0.0, 0.5, 201)
     # the terms reach ~4 here, so the two forms round apart by a few ulps of 4
     assert np.max(np.abs(table.mi(g) - _hermite_reference(table, g))) <= 4e-15
@@ -213,8 +210,7 @@ def test_table_mi_clamps_both_knot_slopes(qam4):
 
 
 def test_table_refuses_a_grid_not_uniform_in_log10(table_qam4):
-    fields = dict(constellation=table_qam4.constellation, hermite_order=40,
-                  db_min=-10.0, db_max=10.0, points_per_decade=10)
+    fields = dict(constellation=table_qam4.constellation)
     grid = 10.0 ** (np.array([-10.0, -9.0, -7.5, -7.0]) / 10.0)
     values = dict(mi_values=np.linspace(0.1, 0.4, 4), mmse_values=np.full(4, 1.0))
     with pytest.raises(ValueError):
@@ -237,30 +233,6 @@ def test_direct_info_matches_pointwise(qam4):
     info = DirectInfo(qam4, 40)
     for g in (0.0, 0.3, 7.0, 2e3):
         assert info.mi(g) == pytest.approx(mutual_information(qam4, g, 40), abs=0.0)
-        assert info.mmse(g) == pytest.approx(mmse(qam4, g, 40), abs=0.0)
-
-
-def test_table_cache_round_trip(tmp_path, table_qam4):
-    path = tmp_path / "table.json"
-    save_info_table(table_qam4, path)
-    loaded = load_info_table(path, expected_key=table_qam4.key())
-    assert loaded is not None
-    assert np.allclose(loaded.snr_grid, table_qam4.snr_grid)
-    assert np.allclose(loaded.mi_values, table_qam4.mi_values)
-    assert np.allclose(loaded.mmse_values, table_qam4.mmse_values)
-    assert loaded.key() == table_qam4.key()
-    # a lookup through the reloaded interpolant matches
-    assert loaded.mi(3.7) == pytest.approx(table_qam4.mi(3.7), abs=1e-14)
-
-
-def test_table_cache_invalidation(tmp_path, table_qam4):
-    path = tmp_path / "table.json"
-    save_info_table(table_qam4, path)
-    wrong = dict(table_qam4.key(), hermite_order=60)
-    assert load_info_table(path, expected_key=wrong) is None
-    assert load_info_table(tmp_path / "missing.json") is None
-    (tmp_path / "corrupt.json").write_text("{not json")
-    assert load_info_table(tmp_path / "corrupt.json") is None
 
 
 def test_argument_validation(qam4):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from amrbeam.cli import run
+from amrbeam.cli import ConfigError, parse_snr, run
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 TINY = {
     "constellation": {"kind": "qam", "order": 4},
@@ -49,6 +52,93 @@ def test_validate_is_byte_identical_and_exit_code_is_all_pass(tiny_config, tmp_p
     assert meta["all_pass"] == all(flag == "true" for flag in passes)
     assert isinstance(meta["mc_seed"], int)
     assert "shared" in meta["mc_draws"]
+
+
+@pytest.mark.parametrize("args, output", [
+    (["evaluate", "--mc-samples", "10000"], "amr_table.csv"),
+    (["asymptotics"], "gaps.csv"),
+    (["convergence", "--optimizer", "ga"], "trace_ga.csv"),
+], ids=["evaluate", "asymptotics", "convergence"])
+def test_output_is_byte_identical(tiny_config, tmp_path, args, output):
+    # validate has its own byte-identity test above
+    codes = [run(args + ["--config", tiny_config, "--seed", "3", "--out", str(tmp_path / name)])
+             for name in ("a", "b")]
+    assert codes == [0, 0]
+    assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+
+
+def test_config_sha256_is_the_hash_of_the_resolved_config(tmp_path):
+    hashes = []
+    for population in (8, 9):
+        path = tmp_path / f"pop{population}.json"
+        path.write_text(json.dumps({**TINY, "ga": {"population": population}}))
+        out = tmp_path / f"out{population}"
+        assert run(["convergence", "--optimizer", "rmcgd-f1", "--config", str(path),
+                    "--seed", "1", "--out", str(out)]) == 0
+        meta, _, _ = _read_csv(out / "trace_rmcgd_f1.csv")
+        expect = hashlib.sha256(json.dumps(meta["config"], sort_keys=True).encode()).hexdigest()
+        assert meta["config_sha256"] == expect
+        hashes.append(meta["config_sha256"])
+    assert hashes[0] != hashes[1]
+
+
+def _config_error(capsys, args):
+    """The field of the structured config error that ``run(args)`` reports."""
+    assert run(args) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["type"] == "config", report
+    return report["error"]["field"]
+
+
+@pytest.mark.parametrize("snr", ["nan,0", "0,inf", "0:inf:1", "-inf:0:1"])
+def test_non_finite_snr_is_a_config_error(capsys, tmp_path, snr):
+    assert _config_error(capsys, ["evaluate", f"--snr-db={snr}", "--seed", "1",
+                                  "--out", str(tmp_path)]) == "snr_db"
+    with pytest.raises(ConfigError):
+        parse_snr(snr)
+
+
+def test_non_finite_snr_in_config_file_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**TINY, "snr_db": [float("nan"), 0.0]}))
+    assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
+                                  "--out", str(tmp_path)]) == "snr_db"
+    assert not (tmp_path / "amr_table.csv").exists()
+
+
+@pytest.mark.parametrize("ga", [{"stall_generations": 0}, {"mutation_scale": -0.3}])
+def test_out_of_range_ga_config_is_a_config_error(capsys, tmp_path, ga):
+    path = tmp_path / "ga.json"
+    path.write_text(json.dumps({**TINY, "ga": {**TINY["ga"], **ga}}))
+    assert _config_error(capsys, ["convergence", "--optimizer", "ga", "--config", str(path),
+                                  "--seed", "1", "--out", str(tmp_path)]) == "ga"
+
+
+def test_every_traced_layer_reports_a_finite_metric(tiny_config, tmp_path, monkeypatch):
+    # the benchmark wraps these names in its traced run; one that no longer
+    # exists reports null there, so it must fail here first
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert tracer.absent() == []
+        traced = tracer.wrap("cli.run", run)
+        for args in (["convergence", "--optimizer", "ga"], ["validate"], ["asymptotics"]):
+            code = traced(args + ["--config", tiny_config, "--seed", "1",
+                                  "--out", str(tmp_path / args[0])])
+            assert code == 0 or (args[0] == "validate" and code == 1), (args, code)
+    finally:
+        tracer.restore()
+    metrics = layers.metrics(tracer)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["name"] in metrics]
+    assert names
+    bad = {n: metrics[n] for n in names
+           if not (type(metrics[n]) in (int, float) and math.isfinite(metrics[n]))}
+    assert bad == {}
 
 
 def test_evaluate_fills_mc_columns(tiny_config, tmp_path):

@@ -1,12 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from amrbeam import (
-    constellation_from_json,
-    constellation_to_json,
     make_custom,
     make_psk,
     make_qam,
@@ -84,13 +81,3 @@ def test_custom_rejects_degenerate():
         make_custom([1 + 1j])
     with pytest.raises(ValueError):
         make_custom([1 + 1j, 1 + 1j])
-
-
-def test_json_round_trip():
-    c = make_qam(16)
-    payload = json.dumps(constellation_to_json(c))
-    back = constellation_from_json(json.loads(payload), label=c.label)
-    assert np.allclose(back.points, c.points, atol=1e-15)
-    assert back.d_min == pytest.approx(c.d_min)
-    with pytest.raises(ValueError):
-        constellation_from_json([[1.0, 2.0, 3.0]])

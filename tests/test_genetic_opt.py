@@ -114,3 +114,15 @@ def test_config_validation():
         GaConfig(elitism_count=50, population=50)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=-0.1)
+    # a zero lookback would stop every run after one generation
+    with pytest.raises(ValueError, match="stall_generations"):
+        GaConfig(stall_generations=0)
+    for bad in (-0.3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mutation_scale"):
+            GaConfig(mutation_scale=bad)
+        with pytest.raises(ValueError, match="stall_tol"):
+            GaConfig(stall_tol=bad)
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mutation_decay"):
+            GaConfig(mutation_decay=bad)
+    GaConfig(mutation_scale=0.0, stall_tol=0.0, stall_generations=1)

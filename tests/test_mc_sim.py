@@ -88,7 +88,7 @@ def test_mc_agrees_with_analytic(table_qam4, rule50, rng):
     gs = effective_snrs(e, p)
     est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**6, seed=77)
     analytic = {
-        "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs).gamma_non, rule50),
+        "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs), rule50),
         "cooperative": amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50),
     }
     for scenario, rate in analytic.items():
