@@ -10,10 +10,12 @@ nodes with all gamma-function factors kept in log space.
 At high SNR both rates approach log2(M) like A - (d * snr)^(-G): diversity
 order G = 1 (non-cooperative) or K (cooperative), with the array gain d built
 from a Mellin moment of the MMSE curve and the beamforming gains f^H R_k f.
-The Mellin moments come from one fixed node set per alphabet and Hermite
-order: composite Gauss-Legendre panels plus a Gauss-Laguerre far tail, with
-the MMSE tabulated on all of it in a single mmse_curve call, so each moment
-order t is a weighted sum over the same values (see mellin_mmse).
+The Mellin moments and the saturation gap share the package's one node set
+per alphabet and Hermite order (_mellin_nodes): composite Gauss-Legendre
+panels plus a Gauss-Laguerre far tail. The MMSE is tabulated on all of it in
+a single mmse_curve call, so each moment order t is a weighted sum over the
+same values (see mellin_mmse); the MI is tabulated on the panels once, when
+a SaturationGap first needs it.
 
 All functions are pure over immutable inputs and safe for parallel sweeps.
 """
@@ -21,10 +23,11 @@ All functions are pure over immutable inputs and safe for parallel sweeps.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from .channel_info import mmse_curve
+from .channel_info import DirectInfo, mmse_curve
 from .channel_model import (
     ChannelEnsemble,
     MrcLaw,
@@ -84,8 +87,8 @@ def amr_coop(info, law: MrcLaw, rule: QuadratureRule) -> float:
     return min(max(val, 0.0), info.constellation.bits)
 
 
-# Mellin head panels per decade (half that below 0.05 / d_min^2); it also sets
-# the widest panel, 4 / (_PANELS_PER_DECADE * alpha). See mellin_mmse.
+# Panels per decade of the node set; it also sets the widest panel,
+# 4 / (_PANELS_PER_DECADE * alpha). See mellin_mmse.
 _PANELS_PER_DECADE = 8
 _PANEL_NODES = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
@@ -97,7 +100,10 @@ _GL_TO_LEGENDRE = (
     * (np.arange(_PANEL_NODES) + 0.5)
 )
 _MELLIN_RTOL = 1e-8
-# (hermite order, tail order, alphabet) -> the tabulated node set, see _mellin_nodes
+# Gauss-Laguerre orders of the Mellin far tail and of its self-check
+_TAIL_ORDER = 150
+_TAIL_CHECK_ORDER = 100
+# (hermite order, alphabet) -> the node set, see _mellin_nodes
 _MELLIN_NODES: dict = {}
 
 
@@ -109,39 +115,42 @@ def _mellin_panels(d_min: float) -> np.ndarray:
     """
     d2 = d_min * d_min
     x_hi = 1.0 + 272.0 / d2  # 1 + 34 / alpha
-    cuts = (1e-10 * x_hi, 0.05 / d2, 1.5 / d2, 130.0 / d2, x_hi)
+    cuts = (1e-10 * x_hi, 1.5 / d2, 130.0 / d2, x_hi)
     width = 32.0 / (_PANELS_PER_DECADE * d2)  # 4 / (_PANELS_PER_DECADE * alpha)
     edges = [0.0]
-    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        per_decade = _PANELS_PER_DECADE / 2.0 if j == 0 else _PANELS_PER_DECADE
-        logs = np.geomspace(a, b, max(1, math.ceil(per_decade * math.log10(b / a))) + 1)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        logs = np.geomspace(a, b, max(1, math.ceil(_PANELS_PER_DECADE * math.log10(b / a))) + 1)
         for u, v in zip(logs[:-1], logs[1:]):
             edges.extend(np.linspace(u, v, math.ceil((v - u) / width) + 1)[:-1].tolist())
     edges.append(x_hi)
     return np.asarray(edges)
 
 
-def _mellin_nodes(c: Constellation, hermite_order: int, tail_order: int):
-    """The MMSE on the Mellin node set, tabulated once per alphabet and order.
+def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
+    """The package's one node set per alphabet and Hermite order, built once.
 
-    Returns (x, half, mmse, tails): the (panels, 8) Gauss-Legendre nodes, the
-    panel half-widths, the MMSE at x, and for the tail rules at tail_order
-    and 2/3 of it, (ln x, ln(w e^u mmse(x) / alpha)) at x = x_hi + u / alpha.
+    Holds the (panels, 8) Gauss-Legendre nodes ``x`` of _mellin_panels, the
+    panel half-widths ``half``, the same rule flat (``nodes``, ``weights``),
+    the MMSE at x, and per far-tail rule (ln x, ln(w e^u mmse(x) / alpha)) at
+    x = x_hi + u / alpha, all from one mmse_curve call. ``gap``, log2(M) - mi
+    at ``nodes``, stays None until the alphabet's first SaturationGap.
     """
-    key = (hermite_order, tail_order, c.points.tobytes())
+    key = (hermite_order, c.points.tobytes())
     if key not in _MELLIN_NODES:
         edges = _mellin_panels(c.d_min)
         half = 0.5 * np.diff(edges)
         x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _GL_NODES
         alpha = c.d_min**2 / 8.0
-        rules = [gauss_laguerre(n) for n in (tail_order, max(10, int(tail_order * 2 / 3)))]
+        rules = [gauss_laguerre(n) for n in (_TAIL_ORDER, _TAIL_CHECK_ORDER)]
         far = [edges[-1] + rule.nodes / alpha for rule in rules]
         vals = np.split(mmse_curve(c, np.concatenate([x.ravel(), *far]), hermite_order),
                         np.cumsum([x.size, far[0].size]))
         with np.errstate(divide="ignore"):  # an underflowed mmse gives -inf, a zero term
             tails = tuple((np.log(xf), np.log(rule.weights) + rule.nodes + np.log(v) - math.log(alpha))
                           for rule, xf, v in zip(rules, far, vals[1:]))
-        _MELLIN_NODES[key] = (x, half, vals[0].reshape(x.shape), tails)
+        _MELLIN_NODES[key] = SimpleNamespace(
+            x=x, half=half, nodes=x.ravel(), weights=(half[:, None] * _GL_WEIGHTS).ravel(),
+            mmse=vals[0].reshape(x.shape), tails=tails, gap=None)
     return _MELLIN_NODES[key]
 
 
@@ -155,38 +164,35 @@ def _far_tail(t: float, log_x: np.ndarray, log_rest: np.ndarray) -> float:
     return math.exp(shift) * float(np.exp(finite - shift).sum())
 
 
-def mellin_mmse(
-    c: Constellation,
-    t: float,
-    hermite_order: int = 40,
-    tail_order: int = 150,
-) -> float:
+def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     """Mellin moment int_0^inf x^(t-1) mmse(x) dx of the bit-convention MMSE, t >= 1.
 
     With alpha = d_min^2 / 8 (the MMSE decays like e^{-2 alpha x}), the head
     [0, x_hi], x_hi = 1 + 34 / alpha, is covered by 8-node Gauss-Legendre
-    panels: one on [0, 1e-10 x_hi], then log-spaced at 4 per decade up to
-    0.05 / d_min^2 and 8 per decade beyond, with edges at the kernel's order
-    switches g d_min^2 = 1.5 and 130, and none wider than 0.5 / alpha. Beyond
-    x_hi a Gauss-Laguerre rule under x = x_hi + u / alpha integrates the
-    tail. That is 116-117 panels (928-936 nodes) and 250 tail nodes for any
-    QAM or PSK, tabulated in one mmse_curve call per alphabet and Hermite
-    order and cached, so each t is one weighted sum. Against panels 4x as
-    dense the head agrees to 2e-13 relative for t from 1 to 41 on BPSK,
-    4-, 16-, 64- and 256-QAM, 8- and 16-PSK.
+    panels: one on [0, 1e-10 x_hi], then log-spaced at 8 per decade, with
+    edges at the kernel's order switches g d_min^2 = 1.5 and 130, and none
+    wider than 0.5 / alpha. Beyond x_hi a Gauss-Laguerre rule under
+    x = x_hi + u / alpha integrates the tail. That is 140-141 panels
+    (1120-1128 nodes) and 250 tail nodes for any QAM or PSK, tabulated in
+    one mmse_curve call per alphabet and Hermite order and cached, so each t
+    is one weighted sum. Against panels 4x as dense the head agrees to
+    1.8e-13 relative for t from 1 to 41 on BPSK, 4-, 16-, 64- and 256-QAM,
+    8- and 16-PSK.
 
     Two self-checks cost no kernel calls. Per panel, the integrand's top
     Legendre coefficients, extrapolated along their decay, estimate the
-    panel error; this is an estimate, not a bound: it stays below 1.1e-9 of
-    the moment on the alphabets above, and exceeds 1e-8 at every t when the
-    panels are 8x coarser. The tail is recomputed at 2/3 of tail_order.
+    panel error; this is an estimate, not a bound: it stays below 1.5e-9 of
+    the moment on the alphabets above, and with panels 8x coarser the check
+    rejects every t from 1 to 41 there but t = 16 on 16-PSK. The tail is
+    recomputed with the order-100 rule.
     Raises RuntimeError when either misses the 1e-8 relative target, and
     ValueError for t < 1, where x^(t-1) is singular at 0.
     """
     if not t >= 1.0:
         raise ValueError(f"mellin order must be >= 1, got {t}")
-    x, half, mmse, tails = _mellin_nodes(c, hermite_order, tail_order)
-    f = x ** (t - 1.0) * mmse
+    nodes = _mellin_nodes(c, hermite_order)
+    half = nodes.half
+    f = nodes.x ** (t - 1.0) * nodes.mmse
     head = float(half @ (f @ _GL_WEIGHTS))
     coef = np.abs(f @ _GL_TO_LEGENDRE)
     top = coef[:, 6] + coef[:, 7]
@@ -195,7 +201,7 @@ def mellin_mmse(
     decay = np.minimum(top / np.maximum(coef[:, 2] + coef[:, 3], np.finfo(float).tiny), 1.0)
     head_err = float(half @ (top * decay**2.25))
 
-    far, far_check = (_far_tail(t, *tail) for tail in tails)
+    far, far_check = (_far_tail(t, *tail) for tail in nodes.tails)
     total = head + far
     budget = _MELLIN_RTOL * max(abs(total), 1e-300)
     if abs(far - far_check) > budget + 1e-13 or head_err > budget:
@@ -256,37 +262,24 @@ class SaturationGap:
 
     The fixed-order Laguerre rule loses the gap once the unsaturated SNR
     region shrinks below its smallest node, so direct evaluation of
-    log2(M) - AMR collapses at high SNR. This evaluator instead tabulates
-    g(x) = log2(M) - mi(x) once on composite Gauss-Legendre panels covering
-    the region where g is nonzero in double precision, log-spaced from 1e-8 of
-    its upper end so that SNR densities far narrower than 1 (operating points
-    down to -40 dB) are resolved too, then integrates g against the exact SNR
-    density for each operating point; the only moving part per point is the
-    density. Reliable down to gaps ~1e-11 (series truncation and panel error
-    floors).
+    log2(M) - AMR collapses at high SNR. This evaluator instead integrates
+    g(x) = log2(M) - mi(x), tabulated once per alphabet on the node set's
+    panels (_mellin_nodes), against the exact SNR density of each operating
+    point. The panels' log spacing down to 1e-10 x_hi resolves densities far
+    narrower than 1 (operating points down to -40 dB). Beyond x_hi, g is the
+    far-tail Mellin moment at t = 1, below 1.1e-30 bits on BPSK, 4- to
+    256-QAM, 8- and 16-PSK; the density integrates to at most 1, so leaving
+    that region out costs less than that. Against the panels split 4x the gap
+    agrees to 5.1e-12 relative wherever it is >= 1e-9 (4-/16-QAM and 8-PSK,
+    K = 4, 16, 32, -40 to 40 dB, both scenarios).
     """
 
-    _PANEL_NODES = 16
-
     def __init__(self, constellation: Constellation, hermite_order: int = 40):
-        from .channel_info import DirectInfo
-
-        self.constellation = constellation
-        self.bits = constellation.bits
-        info = DirectInfo(constellation, hermite_order)
-        # panels from 0 out to where g(x) ~ e^{-x d^2/8} is below 1e-24, 16 per
-        # decade from 1e-8 * upper so that SNR densities far below 1 are resolved
-        upper = 8.0 / constellation.d_min**2 * 56.0
-        edges = np.concatenate(([0.0], np.geomspace(1e-8 * upper, upper, 129)))
-        xg, wg = np.polynomial.legendre.leggauss(self._PANEL_NODES)
-        nodes = []
-        weights = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * wg)
-        self.nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights)
-        self.gap_values = np.maximum(self.bits - info.mi(self.nodes), 0.0)
+        nodes = _mellin_nodes(constellation, hermite_order)
+        if nodes.gap is None:
+            mi = DirectInfo(constellation, hermite_order).mi(nodes.nodes)
+            nodes.gap = np.maximum(constellation.bits - mi, 0.0)
+        self.nodes, self.weights, self.gap_values = nodes.nodes, nodes.weights, nodes.gap
 
     def noncoop(self, gamma_non: float) -> float:
         """Gap of the weakest-user rate: int g(x) e^{-x/gn} / gn dx."""

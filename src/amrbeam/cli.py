@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,40 @@ def _require(cond: bool, fld: str, message: str) -> None:
         raise ConfigError(fld, message)
 
 
+def _convert(kind, value, fld: str):
+    """``kind(value)``, or ConfigError(fld) if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise ConfigError(fld, f"expected {kind.__name__}, got {value!r}") from ex
+
+
+def _section(raw: dict, name: str) -> dict:
+    sec = raw.get(name, {})
+    _require(isinstance(sec, dict), name, "must be an object")
+    return sec
+
+
+# Scalar fields: dotted path in the config file -> (ExperimentConfig attribute, type)
+_SCALARS = {
+    "constellation.kind": ("constellation_kind", str),
+    "constellation.order": ("constellation_order", int),
+    "K": ("k", int),
+    "N": ("n", int),
+    "correlation.model": ("corr_model", str),
+    "correlation.rho": ("corr_rho", float),
+    "correlation.spread": ("corr_spread", float),
+    "correlation.seed": ("corr_seed", int),
+    "scenario": ("scenario", str),
+    "quadrature_order": ("quadrature_order", int),
+    "hermite_order": ("hermite_order", int),
+    "table.db_min": ("table_db_min", float),
+    "table.db_max": ("table_db_max", float),
+    "table.points_per_decade": ("table_points_per_decade", int),
+    "mc_samples": ("mc_samples", int),
+}
+
+
 @dataclass
 class ExperimentConfig:
     constellation_kind: str = "qam"
@@ -99,32 +133,22 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls()
-        known = {
-            "constellation", "K", "N", "correlation", "snr_db", "scenario",
-            "optimizers", "quadrature_order", "hermite_order", "table",
-            "mc_samples", "gap_window", "gap_window_coop", "ga", "rmcgd",
-        }
+        known = {path.split(".")[0] for path in _SCALARS} | {
+            "snr_db", "optimizers", "gap_window", "gap_window_coop", "ga", "rmcgd"}
         for key in raw:
             _require(key in known, key, "unknown configuration field")
+        for path, (attr, kind) in _SCALARS.items():
+            section, _, name = path.rpartition(".")
+            values = _section(raw, section) if section else raw
+            if name in values:
+                setattr(cfg, attr, _convert(kind, values[name], path))
 
-        c = raw.get("constellation", {})
-        cfg.constellation_kind = c.get("kind", cfg.constellation_kind)
         _require(cfg.constellation_kind in ("qam", "psk"), "constellation.kind",
                  f"must be qam or psk, got {cfg.constellation_kind!r}")
-        cfg.constellation_order = int(c.get("order", cfg.constellation_order))
-
-        cfg.k = int(raw.get("K", cfg.k))
-        cfg.n = int(raw.get("N", cfg.n))
         _require(cfg.k >= 1, "K", "must be >= 1")
         _require(cfg.n >= 1, "N", "must be >= 1")
-
-        corr = raw.get("correlation", {})
-        cfg.corr_model = corr.get("model", cfg.corr_model)
         _require(cfg.corr_model in ("exponential", "local_scattering"),
                  "correlation.model", f"unknown model {cfg.corr_model!r}")
-        cfg.corr_rho = float(corr.get("rho", cfg.corr_rho))
-        cfg.corr_spread = float(corr.get("spread", cfg.corr_spread))
-        cfg.corr_seed = int(corr.get("seed", cfg.corr_seed))
         if cfg.corr_model == "exponential":
             _require(0.0 <= cfg.corr_rho < 1.0, "correlation.rho", "must be in [0, 1)")
         else:
@@ -132,75 +156,58 @@ class ExperimentConfig:
 
         if "snr_db" in raw:
             cfg.snr_db = parse_snr(raw["snr_db"], fld="snr_db")
-        cfg.scenario = raw.get("scenario", cfg.scenario)
         _require(cfg.scenario in SCENARIOS, "scenario",
                  f"must be one of {sorted(SCENARIOS)}, got {cfg.scenario!r}")
 
-        cfg.optimizers = list(raw.get("optimizers", cfg.optimizers))
+        opts = raw.get("optimizers", cfg.optimizers)
+        _require(isinstance(opts, (list, tuple)), "optimizers", "must be a list")
+        cfg.optimizers = list(opts)
         for opt in cfg.optimizers:
             _require(opt in OPTIMIZERS, "optimizers", f"unknown optimizer {opt!r}")
         _require(len(cfg.optimizers) > 0, "optimizers", "need at least one optimizer")
 
-        cfg.quadrature_order = int(raw.get("quadrature_order", cfg.quadrature_order))
         _require(10 <= cfg.quadrature_order <= 200, "quadrature_order", "must be in [10, 200]")
-        cfg.hermite_order = int(raw.get("hermite_order", cfg.hermite_order))
         _require(10 <= cfg.hermite_order <= 200, "hermite_order", "must be in [10, 200]")
-
-        t = raw.get("table", {})
-        cfg.table_db_min = float(t.get("db_min", cfg.table_db_min))
-        cfg.table_db_max = float(t.get("db_max", cfg.table_db_max))
-        cfg.table_points_per_decade = int(t.get("points_per_decade", cfg.table_points_per_decade))
         _require(cfg.table_db_min < cfg.table_db_max, "table.db_min", "must be < table.db_max")
         _require(cfg.table_points_per_decade >= 10, "table.points_per_decade", "must be >= 10")
-
-        cfg.mc_samples = int(raw.get("mc_samples", cfg.mc_samples))
         _require(cfg.mc_samples == 0 or cfg.mc_samples >= 10_000,
                  "mc_samples", "must be 0 (disabled) or >= 10000")
 
         for name in ("gap_window", "gap_window_coop"):
             if name in raw:
                 gw = raw[name]
-                _require(isinstance(gw, (list, tuple)) and len(gw) == 2 and 0 < gw[0] < gw[1],
-                         name, "must be [low, high] with 0 < low < high")
-                setattr(cfg, name, [float(gw[0]), float(gw[1])])
+                message = "must be [low, high] with 0 < low < high"
+                _require(isinstance(gw, (list, tuple)) and len(gw) == 2, name, message)
+                low, high = (_convert(float, v, name) for v in gw)
+                _require(0 < low < high, name, message)
+                setattr(cfg, name, [low, high])
 
+        ga = _section(raw, "ga")
+        # the GA seed is the run seed (--seed), which the header records
+        _require("seed" not in ga, "ga.seed", "not a config field; the GA takes the run seed")
         try:
-            cfg.ga = GaConfig(**raw.get("ga", {}))
+            cfg.ga = GaConfig(**ga)
         except (TypeError, ValueError) as ex:
             raise ConfigError("ga", str(ex)) from ex
         try:
-            cfg.rmcgd = RmCgdConfig(**raw.get("rmcgd", {}))
+            cfg.rmcgd = RmCgdConfig(**_section(raw, "rmcgd"))
         except (TypeError, ValueError) as ex:
             raise ConfigError("rmcgd", str(ex)) from ex
         return cfg
 
     def resolved(self) -> dict:
-        return {
-            "constellation": {"kind": self.constellation_kind, "order": self.constellation_order},
-            "K": self.k,
-            "N": self.n,
-            "correlation": {
-                "model": self.corr_model,
-                "rho": self.corr_rho,
-                "spread": self.corr_spread,
-                "seed": self.corr_seed,
-            },
+        out = {
             "snr_db": list(self.snr_db),
-            "scenario": self.scenario,
             "optimizers": list(self.optimizers),
-            "quadrature_order": self.quadrature_order,
-            "hermite_order": self.hermite_order,
-            "table": {
-                "db_min": self.table_db_min,
-                "db_max": self.table_db_max,
-                "points_per_decade": self.table_points_per_decade,
-            },
-            "mc_samples": self.mc_samples,
             "gap_window": list(self.gap_window),
             "gap_window_coop": list(self.gap_window_coop),
-            "ga": {k: v for k, v in self.ga.__dict__.items()},
-            "rmcgd": {k: v for k, v in self.rmcgd.__dict__.items()},
+            "ga": {k: v for k, v in self.ga.__dict__.items() if k != "seed"},
+            "rmcgd": dict(self.rmcgd.__dict__),
         }
+        for path, (attr, _kind) in _SCALARS.items():
+            section, _, name = path.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[name] = getattr(self, attr)
+        return out
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -216,24 +223,17 @@ class ExperimentConfig:
 def parse_snr(value, fld: str = "snr_db") -> list:
     """Accept a list of dB values or a 'start:stop:step' range string."""
     if isinstance(value, (list, tuple)):
-        out = [float(v) for v in value]
+        out = [_convert(float, v, fld) for v in value]
     elif isinstance(value, str):
         if ":" in value:
             parts = value.split(":")
             _require(len(parts) == 3, fld, f"range must be start:stop:step, got {value!r}")
-            try:
-                start, stop, step = (float(p) for p in parts)
-            except ValueError as ex:
-                raise ConfigError(fld, f"non-numeric range component in {value!r}") from ex
-            _require(all(map(math.isfinite, (start, stop, step))), fld,
-                     f"non-finite range component in {value!r}")
-            _require(step > 0 and stop >= start, fld, "need step > 0 and stop >= start")
+            start, stop, step = (_convert(float, p, fld) for p in parts)
+            _require(all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start,
+                     fld, f"need finite values, step > 0 and stop >= start, got {value!r}")
             out = [float(v) for v in np.arange(start, stop + step / 2.0, step)]
         else:
-            try:
-                out = [float(p) for p in value.split(",") if p.strip()]
-            except ValueError as ex:
-                raise ConfigError(fld, f"non-numeric SNR in {value!r}") from ex
+            out = [_convert(float, p, fld) for p in value.split(",") if p.strip()]
     else:
         raise ConfigError(fld, f"expected list or string, got {type(value).__name__}")
     _require(len(out) > 0, fld, "SNR list is empty")
@@ -327,7 +327,7 @@ class Runner:
         GA takes ``run_seed`` as its own seed.
         """
         if method == "ga":
-            ga_cfg = GaConfig(**{**self.cfg.ga.__dict__, "seed": run_seed})
+            ga_cfg = replace(self.cfg.ga, seed=run_seed)
             return ga_optimize(ens, self.table, ga_cfg, self.rule)
         start = PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
         return rm_cgd(_SURROGATES[method](ens), start, self.cfg.rmcgd)
@@ -443,7 +443,9 @@ def cmd_convergence(runner: Runner) -> int:
                 for i in range(res.generations)
             ]
             columns = ["generation", "best", "mean"]
-            extra = {"generations": res.generations, **res.metadata}
+            # the GA's own seed (derived from the run seed) goes under "ga",
+            # so it does not overwrite the run seed in the header
+            extra = {"generations": res.generations, "ga": res.metadata}
         else:
             rows = [
                 {
@@ -465,9 +467,11 @@ def cmd_convergence(runner: Runner) -> int:
 def cmd_asymptotics(runner: Runner) -> int:
     """Saturation-gap table and fitted decay slopes on a high-SNR grid.
 
-    Gaps come from the dedicated SaturationGap evaluator (reliable far below
-    what the rate-level quadrature resolves); each scenario uses its own
-    surrogate optimizer for the phases.
+    Gaps come from SaturationGap (reliable far below what the rate-level
+    quadrature resolves) and predicted gaps from the Mellin constants; both
+    integrate over the same node set, on which the MMSE and the MI are each
+    tabulated once per alphabet. Each scenario uses its own surrogate
+    optimizer for the phases.
     """
     cfg = runner.cfg
     gap_eval = SaturationGap(runner.constellation, cfg.hermite_order)

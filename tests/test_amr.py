@@ -229,6 +229,61 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rule50, rng):
         assert abs(gap_eval.coop(law) + amr_coop(info, law, rule50) - qam4.bits) < 1e-9
 
 
+def test_saturation_gap_matches_panels_four_times_as_dense():
+    # reference: g = log2 M - mi on the node set's panels split 4x; beyond
+    # x_hi, g < 1e-30 and both leave it out. The 128 x 16 log panels that
+    # SaturationGap used before it read the node set (edges straddling the
+    # kernel's order switches) were off by 2.3e-10 here on 8-PSK, K = 32,
+    # -10 dB, cooperative; the node set is within 5.1e-12.
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    worst = 0.0
+    for c in (make_qam(4), make_qam(16), make_psk(8)):
+        edges = amr_module._mellin_panels(c.d_min)
+        edges = np.append(np.concatenate(
+            [np.linspace(a, b, 5)[:-1] for a, b in zip(edges[:-1], edges[1:])]), edges[-1])
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * xg).ravel()
+        w = (half * wg).ravel()
+        g = np.maximum(c.bits - DirectInfo(c, 40).mi(x), 0.0)
+        gap_eval = SaturationGap(c, 40)
+        for k in (4, 16, 32):
+            e = make_ensemble(k, 8, 0.0, seed=k)
+            p = PhaseVector.random(8, np.random.default_rng(k))
+            for snr_db in np.arange(-40.0, 41.0, 5.0):
+                gs = effective_snrs(e.with_snr_db(snr_db), p)
+                gn = min_snr_law(gs)
+                law = mrc_law(gs, 1e-12)
+                for val, ref in ((gap_eval.noncoop(gn), w @ (g * np.exp(-x / gn) / gn)),
+                                 (gap_eval.coop(law), w @ (g * law.pdf(x)))):
+                    if ref >= 1e-9:
+                        worst = max(worst, abs(val - ref) / ref)
+    assert worst <= 1e-10
+
+
+def test_one_tabulation_per_alphabet(monkeypatch, tmp_path, qam4):
+    monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
+    tabulated = {"mmse": 0, "mi": 0}
+    mmse, mi = amr_module.mmse_curve, DirectInfo.mi
+
+    def counting_mmse(*args, **kwargs):
+        tabulated["mmse"] += 1
+        return mmse(*args, **kwargs)
+
+    def counting_mi(self, gamma):
+        tabulated["mi"] += 1
+        return mi(self, gamma)
+
+    monkeypatch.setattr(amr_module, "mmse_curve", counting_mmse)
+    monkeypatch.setattr(DirectInfo, "mi", counting_mi)
+    assert run(["asymptotics", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert tabulated == {"mmse": 1, "mi": 1}
+    SaturationGap(qam4, 40)
+    assert tabulated == {"mmse": 1, "mi": 1}
+    monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
+    assert run(["evaluate", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert tabulated == {"mmse": 2, "mi": 1}
+
+
 def test_asymptote_coop_k1_matches_noncoop(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
     e = make_ensemble(1, 5, 0.0, seed=2)

@@ -114,6 +114,38 @@ def test_out_of_range_ga_config_is_a_config_error(capsys, tmp_path, ga):
                                   "--seed", "1", "--out", str(tmp_path)]) == "ga"
 
 
+@pytest.mark.parametrize("raw, fld", [
+    ({"K": "four"}, "K"),
+    ({"snr_db": ["a"]}, "snr_db"),
+    ({"correlation": {"rho": None}}, "correlation.rho"),
+    ({"table": {"points_per_decade": "many"}}, "table.points_per_decade"),
+    ({"mc_samples": [10_000]}, "mc_samples"),
+    ({"gap_window": ["low", 1.0]}, "gap_window"),
+    ({"constellation": 4}, "constellation"),
+    ({"scenario": ["both"]}, "scenario"),
+], ids=["K", "snr_db-list", "correlation.rho", "table", "mc_samples", "gap_window",
+        "section", "scenario"])
+def test_config_value_of_the_wrong_type_is_a_config_error(capsys, tmp_path, raw, fld):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({**TINY, **raw}))
+    assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
+                                  "--out", str(tmp_path)]) == fld
+    assert not (tmp_path / "amr_table.csv").exists()
+
+
+def test_ga_seed_is_a_config_error(capsys, tiny_config, tmp_path):
+    path = tmp_path / "ga_seed.json"
+    path.write_text(json.dumps({**TINY, "ga": {**TINY["ga"], "seed": 5}}))
+    assert _config_error(capsys, ["convergence", "--optimizer", "ga", "--config", str(path),
+                                  "--seed", "1", "--out", str(tmp_path)]) == "ga.seed"
+    # the GA runs on a seed derived from --seed, which the header records
+    assert run(["convergence", "--optimizer", "ga", "--config", tiny_config, "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    meta, _, _ = _read_csv(tmp_path / "trace_ga.csv")
+    assert "seed" not in meta["config"]["ga"]
+    assert meta["seed"] == 1 and isinstance(meta["ga"]["seed"], int)
+
+
 def test_every_traced_layer_reports_a_finite_metric(tiny_config, tmp_path, monkeypatch):
     # the benchmark wraps these names in its traced run; one that no longer
     # exists reports null there, so it must fail here first
