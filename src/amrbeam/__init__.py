@@ -17,9 +17,7 @@ from .channel_info import (
     InfoTable,
     build_table,
     mi_curve,
-    mmse,
     mmse_curve,
-    mutual_information,
 )
 from .channel_model import (
     ChannelEnsemble,

@@ -12,10 +12,10 @@ order G = 1 (non-cooperative) or K (cooperative), with the array gain d built
 from a Mellin moment of the MMSE curve and the beamforming gains f^H R_k f.
 The Mellin moments and the saturation gap share the package's one node set
 per alphabet and Hermite order (_mellin_nodes): composite Gauss-Legendre
-panels plus a Gauss-Laguerre far tail. The MMSE is tabulated on all of it in
-a single mmse_curve call, so each moment order t is a weighted sum over the
-same values (see mellin_mmse); the MI is tabulated on the panels once, when
-a SaturationGap first needs it.
+panels plus a Gauss-Laguerre far tail. One kernel pass over all of it gives
+the MMSE (through mmse_curve) and the MI (through mi_curve on the same array,
+which reuses that pass), so each moment order t and each gap is a weighted
+sum over the same values (see mellin_mmse and SaturationGap).
 
 All functions are pure over immutable inputs and safe for parallel sweeps.
 """
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel_info import DirectInfo, mmse_curve
+from .channel_info import mi_curve, mmse_curve
 from .channel_model import (
     ChannelEnsemble,
     MrcLaw,
@@ -131,9 +131,10 @@ def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
 
     Holds the (panels, 8) Gauss-Legendre nodes ``x`` of _mellin_panels, the
     panel half-widths ``half``, the same rule flat (``nodes``, ``weights``),
-    the MMSE at x, and per far-tail rule (ln x, ln(w e^u mmse(x) / alpha)) at
-    x = x_hi + u / alpha, all from one mmse_curve call. ``gap``, log2(M) - mi
-    at ``nodes``, stays None until the alphabet's first SaturationGap.
+    the MMSE at x, per far-tail rule (ln x, ln(w e^u mmse(x) / alpha)) at
+    x = x_hi + u / alpha, and ``gap``, log2(M) - mi at ``nodes``. The MMSE
+    comes from one mmse_curve call over all the points; mi_curve on the same
+    array then reads the MI from that kernel pass.
     """
     key = (hermite_order, c.points.tobytes())
     if key not in _MELLIN_NODES:
@@ -143,14 +144,15 @@ def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
         alpha = c.d_min**2 / 8.0
         rules = [gauss_laguerre(n) for n in (_TAIL_ORDER, _TAIL_CHECK_ORDER)]
         far = [edges[-1] + rule.nodes / alpha for rule in rules]
-        vals = np.split(mmse_curve(c, np.concatenate([x.ravel(), *far]), hermite_order),
-                        np.cumsum([x.size, far[0].size]))
+        points = np.concatenate([x.ravel(), *far])
+        vals = np.split(mmse_curve(c, points, hermite_order), np.cumsum([x.size, far[0].size]))
+        gap = np.maximum(c.bits - mi_curve(c, points, hermite_order)[: x.size], 0.0)
         with np.errstate(divide="ignore"):  # an underflowed mmse gives -inf, a zero term
             tails = tuple((np.log(xf), np.log(rule.weights) + rule.nodes + np.log(v) - math.log(alpha))
                           for rule, xf, v in zip(rules, far, vals[1:]))
         _MELLIN_NODES[key] = SimpleNamespace(
             x=x, half=half, nodes=x.ravel(), weights=(half[:, None] * _GL_WEIGHTS).ravel(),
-            mmse=vals[0].reshape(x.shape), tails=tails, gap=None)
+            mmse=vals[0].reshape(x.shape), tails=tails, gap=gap)
     return _MELLIN_NODES[key]
 
 
@@ -174,7 +176,7 @@ def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     wider than 0.5 / alpha. Beyond x_hi a Gauss-Laguerre rule under
     x = x_hi + u / alpha integrates the tail. That is 140-141 panels
     (1120-1128 nodes) and 250 tail nodes for any QAM or PSK, tabulated in
-    one mmse_curve call per alphabet and Hermite order and cached, so each t
+    one kernel pass per alphabet and Hermite order and cached, so each t
     is one weighted sum. Against panels 4x as dense the head agrees to
     1.8e-13 relative for t from 1 to 41 on BPSK, 4-, 16-, 64- and 256-QAM,
     8- and 16-PSK.
@@ -263,22 +265,19 @@ class SaturationGap:
     The fixed-order Laguerre rule loses the gap once the unsaturated SNR
     region shrinks below its smallest node, so direct evaluation of
     log2(M) - AMR collapses at high SNR. This evaluator instead integrates
-    g(x) = log2(M) - mi(x), tabulated once per alphabet on the node set's
-    panels (_mellin_nodes), against the exact SNR density of each operating
-    point. The panels' log spacing down to 1e-10 x_hi resolves densities far
-    narrower than 1 (operating points down to -40 dB). Beyond x_hi, g is the
-    far-tail Mellin moment at t = 1, below 1.1e-30 bits on BPSK, 4- to
-    256-QAM, 8- and 16-PSK; the density integrates to at most 1, so leaving
-    that region out costs less than that. Against the panels split 4x the gap
-    agrees to 5.1e-12 relative wherever it is >= 1e-9 (4-/16-QAM and 8-PSK,
-    K = 4, 16, 32, -40 to 40 dB, both scenarios).
+    g(x) = log2(M) - mi(x) on the node set's panels (_mellin_nodes, from the
+    same kernel pass as the Mellin MMSE) against the exact SNR density of
+    each operating point. The panels' log spacing down to 1e-10 x_hi resolves
+    densities far narrower than 1 (operating points down to -40 dB). Beyond
+    x_hi, g is the far-tail Mellin moment at t = 1, below 1.1e-30 bits on
+    BPSK, 4- to 256-QAM, 8- and 16-PSK; the density integrates to at most 1,
+    so leaving that region out costs less than that. Against the panels split
+    4x the gap agrees to 5.1e-12 relative wherever it is >= 1e-9 (4-/16-QAM
+    and 8-PSK, K = 4, 16, 32, -40 to 40 dB, both scenarios).
     """
 
     def __init__(self, constellation: Constellation, hermite_order: int = 40):
         nodes = _mellin_nodes(constellation, hermite_order)
-        if nodes.gap is None:
-            mi = DirectInfo(constellation, hermite_order).mi(nodes.nodes)
-            nodes.gap = np.maximum(constellation.bits - mi, 0.0)
         self.nodes, self.weights, self.gap_values = nodes.nodes, nodes.weights, nodes.gap
 
     def noncoop(self, gamma_non: float) -> float:

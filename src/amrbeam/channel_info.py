@@ -30,6 +30,13 @@ exactly that sum, up to rounding, from the structure of the alphabet:
   symmetry all M. The representatives are evaluated one at a time, so memory
   stays at M * order^2 doubles.
 
+Both sums come from one exponent array per block and SNR: the log-partition
+sum of the MI and, after normalizing that same array into the posterior, the
+error sum of the MMSE. One kernel pass over an SNR array therefore yields both
+curves, and mi_curve and mmse_curve are views on it. The last pass is kept,
+keyed by the alphabet, the SNRs and the orders, so asking for the other curve
+on the same array costs no kernel work; each call returns a fresh copy.
+
 Grid points of an InfoTable are mutually independent, so table construction
 parallelizes trivially; tables are immutable once built.
 
@@ -52,8 +59,6 @@ from .constellation import Constellation
 from .quadrature import gauss_hermite
 
 __all__ = [
-    "mutual_information",
-    "mmse",
     "mi_curve",
     "mmse_curve",
     "InfoTable",
@@ -154,93 +159,79 @@ def _exponents(sent: np.ndarray, alphabet: np.ndarray, gamma: float, nodes: np.n
     return e
 
 
-def _log_partition_sums(sent, alphabet, gamma, nodes, weights) -> np.ndarray:
-    """sum_i w_i log sum_m' exp(E[t, m', i]) for each transmitted symbol."""
+def _fused_term(sent, alphabet, gamma, nodes, weights):
+    """Both weighted noise sums of each transmitted symbol from one exponent array.
+
+    Returns (sum_i w_i log sum_m' exp(E[t, m', i]), sum_i w_i |x_t - E[X | n_i]|^2).
+    """
     e = _exponents(sent, alphabet, gamma, nodes)
     # the m' == m term is 0, so the shift is >= 0 and keeps the sum exact
     shift = e.max(axis=1)
     e -= shift[:, None, :]
     np.exp(e, out=e)
-    return (np.log(e.sum(axis=1)) + shift) @ weights
+    tot = e.sum(axis=1)
+    log_part = (np.log(tot) + shift) @ weights
+    e /= tot[:, None, :]
+    del tot, shift
+    # the error terms reuse one buffer: the same arithmetic in fewer arrays
+    err = alphabet.T @ e
+    np.subtract(sent[:, :, None], err, out=err)
+    np.multiply(err, err, out=err)
+    return log_part, err.sum(axis=1) @ weights
 
 
-def _error_sums(sent, alphabet, gamma, nodes, weights) -> np.ndarray:
-    """sum_i w_i |x_t - E[X | n_i]|^2 for each transmitted symbol."""
-    post = _exponents(sent, alphabet, gamma, nodes)
-    post -= post.max(axis=1, keepdims=True)
-    np.exp(post, out=post)
-    post /= post.sum(axis=1, keepdims=True)
-    err = sent[:, :, None] - alphabet.T @ post
-    return (err * err).sum(axis=1) @ weights
-
-
-def _quadrature_sum(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int, term) -> np.ndarray:
-    """Alphabet average of ``term`` at each SNR, block by block.
+def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int):
+    """(mi, mmse) at each SNR: the alphabet average of _fused_term, block by block.
 
     Memory per step is one block's exponent array: (levels^2 * order) on an
     axis, (M * order^2) for one orbit representative.
     """
     blocks = _blocks(c.points.tobytes(), c.d_min)
-    out = np.zeros(gammas.shape)
+    penalty = np.zeros(gammas.shape)
+    error = np.zeros(gammas.shape)
     for i, g in enumerate(gammas.tolist()):
         order = _effective_order(hermite_order, g, c.d_min, band_order)
         for sent, alphabet, share in blocks:
             nodes, weights = _noise_rule(order, alphabet.shape[1])
-            out[i] += share @ term(sent, alphabet, g, nodes, weights)
-    return out
+            log_part, err = _fused_term(sent, alphabet, g, nodes, weights)
+            penalty[i] += share @ log_part
+            error[i] += share @ err
+    return np.clip(c.bits - penalty / _LN2, 0.0, c.bits), error / _LN2
 
 
-def _check_args(gamma: float, hermite_order: int) -> None:
-    if gamma < 0.0:
-        raise ValueError(f"snr must be >= 0, got {gamma}")
+# the last kernel pass, keyed by content: {key: (mi, mmse)}
+_LAST_PASS: dict = {}
+
+
+def _curves(c: Constellation, gammas, hermite_order: int, *, band_order: int):
+    """(mi, mmse) at ``gammas``, from the last pass when it ran on the same inputs."""
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    if np.any(gammas < 0.0):
+        raise ValueError("snr values must be >= 0")
     if not 10 <= hermite_order <= 200:
         raise ValueError(f"hermite_order must be in [10, 200], got {hermite_order}")
-
-
-def mutual_information(c: Constellation, gamma: float, hermite_order: int = 40) -> float:
-    """Mutual information in bits at linear SNR ``gamma``."""
-    _check_args(gamma, hermite_order)
-    return float(_mi_at(c, np.asarray([gamma]), hermite_order)[0])
-
-
-def mmse(c: Constellation, gamma: float, hermite_order: int = 40) -> float:
-    """Bit-convention MMSE (conditional error / ln 2) at linear SNR ``gamma``.
-
-    Underflows to 0.0 once the error drops below double precision.
-    """
-    _check_args(gamma, hermite_order)
-    return float(_mmse_at(c, np.asarray([gamma]), hermite_order)[0])
-
-
-def _mi_at(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int = 120) -> np.ndarray:
-    penalty = _quadrature_sum(c, gammas, hermite_order, band_order, _log_partition_sums)
-    return np.clip(c.bits - penalty / _LN2, 0.0, c.bits)
-
-
-def _mmse_at(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int = 120) -> np.ndarray:
-    return _quadrature_sum(c, gammas, hermite_order, band_order, _error_sums) / _LN2
+    key = (c.points.tobytes(), gammas.tobytes(), hermite_order, band_order)
+    if key not in _LAST_PASS:
+        _LAST_PASS.clear()
+        _LAST_PASS[key] = _kernel_pass(c, gammas, hermite_order, band_order)
+    return _LAST_PASS[key]
 
 
 def mi_curve(c: Constellation, gammas, hermite_order: int = 40, *, band_order: int = 120) -> np.ndarray:
-    """Vectorized mutual_information over an array of SNRs.
+    """Mutual information in bits at each SNR of ``gammas`` (linear, >= 0).
 
     ``band_order`` sets the boundary-layer escalation target; raise it when
     downstream consumers integrate the values to below ~1e-7 absolute.
     """
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if np.any(gammas < 0.0):
-        raise ValueError("snr values must be >= 0")
-    _check_args(0.0, hermite_order)
-    return _mi_at(c, gammas, hermite_order, band_order)
+    return _curves(c, gammas, hermite_order, band_order=band_order)[0].copy()
 
 
 def mmse_curve(c: Constellation, gammas, hermite_order: int = 40, *, band_order: int = 120) -> np.ndarray:
-    """Vectorized mmse over an array of SNRs."""
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if np.any(gammas < 0.0):
-        raise ValueError("snr values must be >= 0")
-    _check_args(0.0, hermite_order)
-    return _mmse_at(c, gammas, hermite_order, band_order)
+    """Bit-convention MMSE (conditional error / ln 2) at each SNR of ``gammas``.
+
+    Underflows to 0.0 once the error drops below double precision.
+    """
+    return _curves(c, gammas, hermite_order, band_order=band_order)[1].copy()
 
 
 @dataclass(eq=False)
@@ -335,6 +326,7 @@ def build_table(
     grid_db = np.linspace(db_min, db_max, n_points)
     snr = 10.0 ** (grid_db / 10.0)
 
+    # one kernel pass: mmse_curve reads the pass that mi_curve just made
     mi = mi_curve(c, snr, hermite_order, band_order=band_order)
     mm = mmse_curve(c, snr, hermite_order, band_order=band_order)
     # guard fp wiggle so the stored curves satisfy the monotonicity contract
@@ -358,5 +350,5 @@ class DirectInfo:
     def mi(self, gamma):
         g = np.asarray(gamma, dtype=float)
         scalar = g.ndim == 0
-        vals = _mi_at(self.constellation, np.atleast_1d(g), self.hermite_order)
+        vals = mi_curve(self.constellation, g, self.hermite_order)
         return float(vals[0]) if scalar else vals

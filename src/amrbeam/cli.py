@@ -469,8 +469,8 @@ def cmd_asymptotics(runner: Runner) -> int:
 
     Gaps come from SaturationGap (reliable far below what the rate-level
     quadrature resolves) and predicted gaps from the Mellin constants; both
-    integrate over the same node set, on which the MMSE and the MI are each
-    tabulated once per alphabet. Each scenario uses its own surrogate
+    integrate over the same node set, whose MMSE and MI come from one kernel
+    pass per alphabet. Each scenario uses its own surrogate
     optimizer for the phases.
     """
     cfg = runner.cfg

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import gamma as sgamma
 
 from amrbeam import amr as amr_module
+from amrbeam import channel_info
 from amrbeam import (
     DirectInfo,
     PhaseVector,
@@ -262,26 +263,25 @@ def test_saturation_gap_matches_panels_four_times_as_dense():
 
 def test_one_tabulation_per_alphabet(monkeypatch, tmp_path, qam4):
     monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
-    tabulated = {"mmse": 0, "mi": 0}
-    mmse, mi = amr_module.mmse_curve, DirectInfo.mi
+    monkeypatch.setattr(channel_info, "_LAST_PASS", {})
+    passes = []
+    kernel_pass = channel_info._kernel_pass
 
-    def counting_mmse(*args, **kwargs):
-        tabulated["mmse"] += 1
-        return mmse(*args, **kwargs)
+    def counting(*args):
+        passes.append(args)
+        return kernel_pass(*args)
 
-    def counting_mi(self, gamma):
-        tabulated["mi"] += 1
-        return mi(self, gamma)
-
-    monkeypatch.setattr(amr_module, "mmse_curve", counting_mmse)
-    monkeypatch.setattr(DirectInfo, "mi", counting_mi)
+    monkeypatch.setattr(channel_info, "_kernel_pass", counting)
+    # the node set's MMSE and gap come from one pass; asymptotics builds no table
     assert run(["asymptotics", "--seed", "1", "--out", str(tmp_path)]) == 0
-    assert tabulated == {"mmse": 1, "mi": 1}
+    assert len(passes) == 1
     SaturationGap(qam4, 40)
-    assert tabulated == {"mmse": 1, "mi": 1}
+    mellin_mmse(qam4, 7)
+    assert len(passes) == 1
+    # evaluate: one pass for the table, one for the rebuilt node set
     monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
     assert run(["evaluate", "--seed", "1", "--out", str(tmp_path)]) == 0
-    assert tabulated == {"mmse": 2, "mi": 1}
+    assert len(passes) == 3
 
 
 def test_asymptote_coop_k1_matches_noncoop(qam4, rng):

@@ -16,11 +16,10 @@ from amrbeam import (
     make_psk,
     make_qam,
     mi_curve,
-    mmse,
     mmse_curve,
-    mutual_information,
 )
-from amrbeam.channel_info import _blocks
+from amrbeam import channel_info
+from amrbeam.channel_info import _blocks, _effective_order, _noise_rule
 
 LN2 = math.log(2.0)
 
@@ -55,39 +54,42 @@ BPSK_G1_MC_3SE = 3 * 1.5125128116006957e-4
 
 
 def test_mi_zero_snr(qam4):
-    assert mutual_information(qam4, 0.0, 40) == pytest.approx(0.0, abs=1e-10)
+    assert mi_curve(qam4, 0.0, 40)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mi_saturates(qam4):
-    assert mutual_information(qam4, 1e6, 60) == pytest.approx(2.0, abs=1e-6)
+    assert mi_curve(qam4, 1e6, 60)[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_mi_bpsk_matches_mc_oracle(bpsk):
-    assert abs(mutual_information(bpsk, 1.0, 60) - BPSK_G1_MC_MEAN) < BPSK_G1_MC_3SE
+    assert abs(mi_curve(bpsk, 1.0, 60)[0] - BPSK_G1_MC_MEAN) < BPSK_G1_MC_3SE
 
 
 def test_mmse_zero_snr_is_inverse_ln2(qam4):
-    assert mmse(qam4, 0.0, 40) == pytest.approx(1.0 / LN2, abs=1e-8)
+    assert mmse_curve(qam4, 0.0, 40)[0] == pytest.approx(1.0 / LN2, abs=1e-8)
 
 
 def test_mmse_decays_super_exponentially(qam4):
-    assert mmse(qam4, 1e6, 60) < 1e-20
+    assert mmse_curve(qam4, 1e6, 60)[0] < 1e-20
 
 
 def test_mmse_matches_finite_difference_at_unit_snr(bpsk):
     h = 1e-4
-    fd = (mutual_information(bpsk, 1.0 + h, 60) - mutual_information(bpsk, 1.0 - h, 60)) / (2 * h)
-    assert abs(fd - mmse(bpsk, 1.0, 60)) < 1e-5
+    fd = (mi_curve(bpsk, 1.0 + h, 60)[0] - mi_curve(bpsk, 1.0 - h, 60)[0]) / (2 * h)
+    assert abs(fd - mmse_curve(bpsk, 1.0, 60)[0]) < 1e-5
+
+
+def assert_i_mmse_consistent(c, gammas):
+    """Central differences of mi_curve match mmse_curve at every SNR."""
+    h = 1e-4 * np.maximum(gammas, 1.0)
+    fd = (mi_curve(c, gammas + h, 40) - mi_curve(c, gammas - h, 40)) / (2 * h)
+    m = mmse_curve(c, gammas, 40)
+    assert np.all(np.abs(fd - m) <= np.maximum(1e-5, 1e-3 * m))
 
 
 def test_i_mmse_consistency_random_snrs(bpsk, qam4, rng):
     for c in (bpsk, qam4):
-        gammas = 10.0 ** rng.uniform(math.log10(2e-4), 4.0, 60)
-        for g in gammas:
-            h = 1e-4 * max(g, 1.0)
-            fd = (mutual_information(c, g + h, 40) - mutual_information(c, g - h, 40)) / (2 * h)
-            m = mmse(c, float(g), 40)
-            assert abs(fd - m) <= max(1e-5, 1e-3 * m)
+        assert_i_mmse_consistent(c, 10.0 ** rng.uniform(math.log10(2e-4), 4.0, 60))
 
 
 def test_monotonicity_on_random_pairs(qam4, rng):
@@ -102,8 +104,7 @@ def test_monotonicity_on_random_pairs(qam4, rng):
 def test_estimation_error_tail_decay(bpsk, qam4, qam16):
     # log mmse must fall at least linearly with slope -d_min^2/8 (5% slack)
     for c in (bpsk, qam4, qam16):
-        m20 = mmse(c, 20.0, 40)
-        m80 = mmse(c, 80.0, 40)
+        m20, m80 = mmse_curve(c, [20.0, 80.0], 40)
         slope = (math.log(m80) - math.log(m20)) / 60.0
         assert slope <= -(c.d_min**2 / 8.0) * 0.95
 
@@ -232,16 +233,16 @@ def test_table_interpolation_accuracy(table_qam4, qam4, rng):
 def test_direct_info_matches_pointwise(qam4):
     info = DirectInfo(qam4, 40)
     for g in (0.0, 0.3, 7.0, 2e3):
-        assert info.mi(g) == pytest.approx(mutual_information(qam4, g, 40), abs=0.0)
+        assert info.mi(g) == pytest.approx(mi_curve(qam4, g, 40)[0], abs=0.0)
 
 
 def test_argument_validation(qam4):
     with pytest.raises(ValueError):
-        mutual_information(qam4, -1.0, 40)
+        mi_curve(qam4, -1.0, 40)
     with pytest.raises(ValueError):
-        mutual_information(qam4, 1.0, 8)
+        mi_curve(qam4, 1.0, 8)
     with pytest.raises(ValueError):
-        mmse(qam4, 1.0, 300)
+        mmse_curve(qam4, 1.0, 300)
 
 
 def tensor_oracle(c, gamma, order):
@@ -389,14 +390,9 @@ def test_orbit_path_memory_is_one_symbol_at_a_time():
 @pytest.mark.parametrize("m", [64, 256])
 def test_large_qam_i_mmse_and_saturation(m, rng):
     c = make_qam(m)
-    gammas = 10.0 ** rng.uniform(-3.0, 4.0, 30)
-    for g in gammas:
-        h = 1e-4 * max(g, 1.0)
-        fd = (mutual_information(c, g + h, 40) - mutual_information(c, g - h, 40)) / (2 * h)
-        mm = mmse(c, float(g), 40)
-        assert abs(fd - mm) <= max(1e-5, 1e-3 * mm)
-    assert mutual_information(c, 1e6, 40) == pytest.approx(c.bits, abs=1e-9)
-    assert mmse(c, 1e6, 40) < 1e-20
+    assert_i_mmse_consistent(c, 10.0 ** rng.uniform(-3.0, 4.0, 30))
+    assert mi_curve(c, 1e6, 40)[0] == pytest.approx(c.bits, abs=1e-9)
+    assert mmse_curve(c, 1e6, 40)[0] < 1e-20
 
 
 def test_build_table_qam256_is_fast_and_saturates():
@@ -406,3 +402,113 @@ def test_build_table_qam256_is_fast_and_saturates():
     assert elapsed < 5.0
     assert np.all(np.diff(t.mi_values) >= 0.0)
     assert t.mi_values[-1] == pytest.approx(8.0, abs=1e-6)
+
+
+# The two terms and the reduction the kernel ran before the fused pass, kept
+# here as the reference the fused pass must reproduce bit for bit.
+def _exponents_ref(sent, alphabet, gamma, nodes):
+    d = sent[:, None, :] - alphabet[None, :, :]
+    e = (-2.0 * math.sqrt(gamma) * d) @ nodes
+    e -= (gamma * (d * d).sum(axis=2))[:, :, None]
+    return e
+
+
+def _log_partition_sums_ref(sent, alphabet, gamma, nodes, weights):
+    e = _exponents_ref(sent, alphabet, gamma, nodes)
+    shift = e.max(axis=1)
+    e -= shift[:, None, :]
+    np.exp(e, out=e)
+    return (np.log(e.sum(axis=1)) + shift) @ weights
+
+
+def _error_sums_ref(sent, alphabet, gamma, nodes, weights):
+    post = _exponents_ref(sent, alphabet, gamma, nodes)
+    post -= post.max(axis=1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=1, keepdims=True)
+    err = sent[:, :, None] - alphabet.T @ post
+    return (err * err).sum(axis=1) @ weights
+
+
+def _quadrature_sum_ref(c, gammas, hermite_order, band_order, term):
+    blocks = _blocks(c.points.tobytes(), c.d_min)
+    out = np.zeros(gammas.shape)
+    for i, g in enumerate(gammas.tolist()):
+        order = _effective_order(hermite_order, g, c.d_min, band_order)
+        for sent, alphabet, share in blocks:
+            nodes, weights = _noise_rule(order, alphabet.shape[1])
+            out[i] += share @ term(sent, alphabet, g, nodes, weights)
+    return out
+
+
+@pytest.mark.parametrize("band_order", [120, 200])
+@pytest.mark.parametrize("make", [
+    lambda: make_psk(2), lambda: make_qam(4), lambda: make_qam(16), lambda: make_qam(64),
+    lambda: make_qam(256), lambda: make_psk(8), lambda: make_psk(16),
+    lambda: make_custom([0, 1, 3j, 2 + 1j, -1 - 0.5j]),
+], ids=["2-PSK", "4-QAM", "16-QAM", "64-QAM", "256-QAM", "8-PSK", "16-PSK", "custom"])
+def test_fused_pass_is_bitwise_the_two_term_sums(make, band_order):
+    c = make()
+    # out of band below and above (g d_min^2 <= 1.5 or >= 130), and in band
+    gammas = np.array([0.0, 1e-3, 1.0 / c.d_min**2, 2.0 / c.d_min**2, 20.0 / c.d_min**2,
+                       120.0 / c.d_min**2, 200.0 / c.d_min**2, 1e4])
+    mi, mm = channel_info._kernel_pass(c, gammas, 40, band_order)
+    penalty = _quadrature_sum_ref(c, gammas, 40, band_order, _log_partition_sums_ref)
+    error = _quadrature_sum_ref(c, gammas, 40, band_order, _error_sums_ref)
+    assert np.array_equal(mi, np.clip(c.bits - penalty / LN2, 0.0, c.bits))
+    assert np.array_equal(mm, error / LN2)
+
+
+@pytest.fixture()
+def kernel_terms(monkeypatch):
+    """Empty the kernel memo and count the fused-term evaluations."""
+    monkeypatch.setattr(channel_info, "_LAST_PASS", {})
+    calls = []
+    term = channel_info._fused_term
+
+    def counting(*args):
+        calls.append(args[2])
+        return term(*args)
+
+    monkeypatch.setattr(channel_info, "_fused_term", counting)
+    return calls
+
+
+def test_both_curves_on_one_grid_make_one_kernel_pass(kernel_terms):
+    c = make_psk(8)
+    gammas = np.logspace(-2, 2, 9)
+    one_pass = gammas.size * len(_blocks(c.points.tobytes(), c.d_min))
+    mi = mi_curve(c, gammas, 40)
+    assert len(kernel_terms) == one_pass
+    mm = mmse_curve(c, gammas, 40)
+    assert len(kernel_terms) == one_pass
+    # another grid, order or alphabet is a new pass
+    mmse_curve(c, gammas, 40, band_order=200)
+    mmse_curve(make_qam(4), gammas, 40)
+    assert len(kernel_terms) > 2 * one_pass
+    assert np.array_equal(mi, mi_curve(c, gammas[::-1], 40)[::-1])
+    assert np.array_equal(mm, mmse_curve(c, gammas[::-1], 40)[::-1])
+
+
+def test_writing_into_a_returned_curve_leaves_the_next_call_unchanged(kernel_terms, qam4):
+    gammas = np.logspace(-1, 1, 5)
+    mi, mm = mi_curve(qam4, gammas, 40), mmse_curve(qam4, gammas, 40)
+    expect_mi, expect_mm = mi.copy(), mm.copy()
+    mi[:] = -1.0
+    mm *= 3.0
+    assert np.array_equal(mi_curve(qam4, gammas, 40), expect_mi)
+    assert np.array_equal(mmse_curve(qam4, gammas, 40), expect_mm)
+    assert len(kernel_terms) == 5 * 2
+
+
+def test_kernel_memo_keeps_only_the_last_pass(kernel_terms, qam4):
+    grids = [np.array([g]) for g in (0.1, 0.2, 0.3, 0.4)]
+    for g in grids:
+        mi_curve(qam4, g, 40)
+        assert len(channel_info._LAST_PASS) == 1
+    assert len(kernel_terms) == 4 * 2
+    mmse_curve(qam4, grids[-1], 40)
+    assert len(kernel_terms) == 4 * 2
+    # the first grid was dropped, so it runs the kernel again
+    mmse_curve(qam4, grids[0], 40)
+    assert len(kernel_terms) == 5 * 2

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from amrbeam import amr, channel_info
 from amrbeam.cli import ConfigError, parse_snr, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,30 +148,55 @@ def test_ga_seed_is_a_config_error(capsys, tiny_config, tmp_path):
 
 
 def test_every_traced_layer_reports_a_finite_metric(tiny_config, tmp_path, monkeypatch):
-    # the benchmark wraps these names in its traced run; one that no longer
-    # exists reports null there, so it must fail here first
+    # the benchmark wraps these names in its traced run, one subcommand per
+    # fresh process; a name that no longer exists, or that a subcommand no
+    # longer calls, reports null or no kernel points there, so it must fail
+    # here first. Each subcommand gets its own tracer and empty caches, so
+    # another subcommand's kernel calls cannot mask it.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import layers
     from tracer import Tracer
 
-    tracer = Tracer()
-    layers.install(tracer)
-    try:
-        assert tracer.absent() == []
-        traced = tracer.wrap("cli.run", run)
-        for args in (["convergence", "--optimizer", "ga"], ["validate"], ["asymptotics"]):
-            code = traced(args + ["--config", tiny_config, "--seed", "1",
-                                  "--out", str(tmp_path / args[0])])
-            assert code == 0 or (args[0] == "validate" and code == 1), (args, code)
-    finally:
-        tracer.restore()
-    metrics = layers.metrics(tracer)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in spec["per_layer"] if m["name"] in metrics]
-    assert names
-    bad = {n: metrics[n] for n in names
-           if not (type(metrics[n]) in (int, float) and math.isfinite(metrics[n]))}
-    assert bad == {}
+    for args in (["convergence", "--optimizer", "ga"], ["validate"], ["asymptotics"], ["evaluate"]):
+        monkeypatch.setattr(amr, "_MELLIN_NODES", {})
+        monkeypatch.setattr(channel_info, "_LAST_PASS", {})
+        tracer = Tracer()
+        layers.install(tracer)
+        try:
+            assert tracer.absent() == []
+            code = tracer.wrap("cli.run", run)(args + ["--config", tiny_config, "--seed", "1",
+                                                       "--out", str(tmp_path / args[0])])
+            assert code == 0 or (args[0] == "validate" and code == 1), (args, code)
+        finally:
+            tracer.restore()
+        metrics = layers.metrics(tracer)
+        names = [m["name"] for m in spec["per_layer"] if m["name"] in metrics]
+        assert names, args
+        bad = {n: metrics[n] for n in names
+               if not (type(metrics[n]) in (int, float) and math.isfinite(metrics[n]))}
+        assert bad == {}, args
+        assert metrics["layer.kernel.points"] > 0, args
+
+
+@pytest.mark.parametrize("args, output", [
+    (["evaluate", "--mc-samples", "10000"], "amr_table.csv"),
+    (["asymptotics"], "gaps.csv"),
+    (["validate"], "validation.csv"),
+], ids=["evaluate", "asymptotics", "validate"])
+def test_in_process_reruns_are_byte_identical_across_an_alphabet_change(tiny_config, tmp_path,
+                                                                        monkeypatch, args, output):
+    # the kernel memo and the node-set cache live for the whole process; an
+    # 8-PSK run between two identical runs must not change the second one
+    monkeypatch.setattr(amr, "_MELLIN_NODES", {})
+    monkeypatch.setattr(channel_info, "_LAST_PASS", {})
+    psk = tmp_path / "psk.json"
+    psk.write_text(json.dumps({**TINY, "constellation": {"kind": "psk", "order": 8}}))
+    for name, config in (("a", tiny_config), ("psk", str(psk)), ("b", tiny_config)):
+        code = run(args + ["--config", config, "--seed", "3", "--out", str(tmp_path / name)])
+        assert code == 0 or (args[0] == "validate" and code == 1), (name, code)
+    assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+    assert (tmp_path / "a" / output).read_bytes() != (tmp_path / "psk" / output).read_bytes()
 
 
 def test_evaluate_fills_mc_columns(tiny_config, tmp_path):
