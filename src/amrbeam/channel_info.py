@@ -27,13 +27,21 @@ exactly that sum, up to rounding, from the structure of the alphabet:
   term is the same for every point of its orbit under the symmetries that also
   map the alphabet onto itself. One representative per orbit, weighted by the
   orbit size, gives the sum: 8-PSK evaluates 2 symbols, an alphabet without
-  symmetry all M. The representatives are evaluated one at a time, so memory
-  stays at M * order^2 doubles.
+  symmetry all M. The representatives are evaluated one at a time.
 
-Both sums come from one exponent array per block and SNR: the log-partition
-sum of the MI and, after normalizing that same array into the posterior, the
-error sum of the MMSE. One kernel pass over an SNR array therefore yields both
-curves, and mi_curve and mmse_curve are views on it. The last pass is kept,
+A kernel pass takes each run of consecutive SNRs with one effective order
+through each block in chunks: one exponent array per chunk, which with its
+maximum and sum over the alphabet fits in _CHUNK_DOUBLES (4096) doubles of one
+work buffer, allocated once per pass. A chunk holds as many SNRs as fit, and
+always at least one; a single SNR too large for the buffer (an orbit
+representative at a high order: M * order^2 doubles) gets arrays of its own.
+Every BLAS call acts on one SNR's slice, as it would for a single SNR, so a
+value does not depend on the chunk it was computed in.
+
+Both sums come from that one exponent array: the log-partition sum of the MI
+and, after normalizing the same array into the posterior, the error sum of the
+MMSE. One kernel pass over an SNR array therefore yields both curves, and
+mi_curve and mmse_curve are views on it. The last pass is kept,
 keyed by the alphabet, the SNRs and the orders, so asking for the other curve
 on the same array costs no kernel work; each call returns a fresh copy.
 
@@ -49,6 +57,7 @@ below double precision and the requested order is used as-is.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -72,6 +81,10 @@ _MMSE_FLOOR = 1e-300
 
 # Structure detection treats points closer than this multiple of d_min as equal.
 _STRUCTURE_TOL = 1e-9
+
+# Doubles of the work buffer: one chunk's exponent array and its maximum and
+# sum over the alphabet. A small buffer leaves the heap as a per-SNR pass does.
+_CHUNK_DOUBLES = 4096
 
 
 @lru_cache(maxsize=32)
@@ -151,52 +164,73 @@ def _blocks(points_bytes: bytes, d_min: float):
     return tuple(blocks)
 
 
-def _exponents(sent: np.ndarray, alphabet: np.ndarray, gamma: float, nodes: np.ndarray) -> np.ndarray:
-    """E[t, m', i] = |n_i|^2 - |n_i + sqrt(g)(x_t - x_m')|^2 in real coordinates."""
-    d = sent[:, None, :] - alphabet[None, :, :]
-    e = (-2.0 * math.sqrt(gamma) * d) @ nodes
-    e -= (gamma * (d * d).sum(axis=2))[:, :, None]
-    return e
+def _fused_terms(sent, alphabet, gammas, nodes, weights, work):
+    """Both weighted noise sums of each SNR and transmitted symbol from one exponent array.
 
-
-def _fused_term(sent, alphabet, gamma, nodes, weights):
-    """Both weighted noise sums of each transmitted symbol from one exponent array.
-
-    Returns (sum_i w_i log sum_m' exp(E[t, m', i]), sum_i w_i |x_t - E[X | n_i]|^2).
+    With E[s, t, m', i] = |n_i|^2 - |n_i + sqrt(g_s)(x_t - x_m')|^2 in real
+    coordinates, returns the (S, T) arrays sum_i w_i log sum_m' exp(E[s, t, m', i])
+    and sum_i w_i |x_t - E[X | n_i]|^2. E and its maximum and sum over m' take
+    S * T * (M' + 2) * n doubles of ``work``; a single SNR that needs more gets
+    arrays of its own, none larger than its E. Each matmul acts slice by slice,
+    so every value is the one a single SNR gives.
     """
-    e = _exponents(sent, alphabet, gamma, nodes)
+    s, t, m, n = gammas.size, sent.shape[0], alphabet.shape[0], nodes.shape[1]
+    size = s * t * n
+    if (m + 2) * size <= work.size:
+        e = work[: m * size].reshape(s, t, m, n)
+        shift, tot = work[m * size : (m + 2) * size].reshape(2, s, t, n)
+    else:
+        e, (shift, tot) = np.empty((s, t, m, n)), np.empty((2, s, t, n))
+    d = sent[:, None, :] - alphabet[None, :, :]
+    np.matmul((-2.0 * np.sqrt(gammas))[:, None, None, None] * d, nodes, out=e)
+    e -= (gammas[:, None, None] * (d * d).sum(axis=2))[..., None]
     # the m' == m term is 0, so the shift is >= 0 and keeps the sum exact
-    shift = e.max(axis=1)
-    e -= shift[:, None, :]
+    e.max(axis=2, out=shift)
+    e -= shift[:, :, None, :]
     np.exp(e, out=e)
-    tot = e.sum(axis=1)
-    log_part = (np.log(tot) + shift) @ weights
-    e /= tot[:, None, :]
-    del tot, shift
+    e.sum(axis=2, out=tot)
+    e /= tot[:, :, None, :]
+    np.log(tot, out=tot)
+    tot += shift
+    log_part = tot @ weights
     # the error terms reuse one buffer: the same arithmetic in fewer arrays
     err = alphabet.T @ e
     np.subtract(sent[:, :, None], err, out=err)
     np.multiply(err, err, out=err)
-    return log_part, err.sum(axis=1) @ weights
+    return log_part, err.sum(axis=2) @ weights
 
 
 def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int):
-    """(mi, mmse) at each SNR: the alphabet average of _fused_term, block by block.
+    """(mi, mmse) at each SNR: the alphabet average of _fused_terms, block by block.
 
-    Memory per step is one block's exponent array: (levels^2 * order) on an
-    axis, (M * order^2) for one orbit representative.
+    Each run of consecutive SNRs with one effective order goes through each
+    block in chunks of as many SNRs as fit in _CHUNK_DOUBLES, and at least one.
+    A sorted grid has at most three runs, as the band is an interval.
     """
     blocks = _blocks(c.points.tobytes(), c.d_min)
+    orders = [_effective_order(hermite_order, g, c.d_min, band_order) for g in gammas.tolist()]
+    # building a rule allocates far more than the pass, so it comes first
+    rules = {order: [_noise_rule(order, alphabet.shape[1]) for _, alphabet, _ in blocks] for order in set(orders)}
+    # the sums, which become the results in place, are allocated before the buffer
     penalty = np.zeros(gammas.shape)
     error = np.zeros(gammas.shape)
-    for i, g in enumerate(gammas.tolist()):
-        order = _effective_order(hermite_order, g, c.d_min, band_order)
-        for sent, alphabet, share in blocks:
-            nodes, weights = _noise_rule(order, alphabet.shape[1])
-            log_part, err = _fused_term(sent, alphabet, g, nodes, weights)
-            penalty[i] += share @ log_part
-            error[i] += share @ err
-    return np.clip(c.bits - penalty / _LN2, 0.0, c.bits), error / _LN2
+    work = np.empty(_CHUNK_DOUBLES)
+    start = 0
+    for order, run in itertools.groupby(orders):
+        stop = start + sum(1 for _ in run)
+        for (sent, alphabet, share), (nodes, weights) in zip(blocks, rules[order]):
+            step = max(1, _CHUNK_DOUBLES // (sent.shape[0] * (alphabet.shape[0] + 2) * nodes.shape[1]))
+            for lo in range(start, stop, step):
+                i = slice(lo, min(lo + step, stop))
+                log_part, err = _fused_terms(sent, alphabet, gammas[i], nodes, weights, work)
+                # one dot per SNR, as for a single SNR
+                penalty[i] += (share @ log_part[..., None])[:, 0]
+                error[i] += (share @ err[..., None])[:, 0]
+        start = stop
+    np.divide(penalty, _LN2, out=penalty)
+    np.subtract(c.bits, penalty, out=penalty)
+    np.divide(error, _LN2, out=error)
+    return np.clip(penalty, 0.0, c.bits, out=penalty), error
 
 
 # the last kernel pass, keyed by content: {key: (mi, mmse)}
@@ -206,8 +240,10 @@ _LAST_PASS: dict = {}
 def _curves(c: Constellation, gammas, hermite_order: int, *, band_order: int):
     """(mi, mmse) at ``gammas``, from the last pass when it ran on the same inputs."""
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if np.any(gammas < 0.0):
-        raise ValueError("snr values must be >= 0")
+    if gammas.ndim > 1:
+        raise ValueError(f"snr values must be a scalar or a 1-D array, got shape {gammas.shape}")
+    if not np.all((gammas >= 0.0) & (gammas < math.inf)):
+        raise ValueError("snr values must be finite and >= 0")
     if not 10 <= hermite_order <= 200:
         raise ValueError(f"hermite_order must be in [10, 200], got {hermite_order}")
     key = (c.points.tobytes(), gammas.tobytes(), hermite_order, band_order)

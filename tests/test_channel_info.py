@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from amrbeam import (
     mi_curve,
     mmse_curve,
 )
-from amrbeam import channel_info
+from amrbeam import amr, channel_info
 from amrbeam.channel_info import _blocks, _effective_order, _noise_rule
 
 LN2 = math.log(2.0)
@@ -245,6 +247,20 @@ def test_argument_validation(qam4):
         mmse_curve(qam4, 1.0, 300)
 
 
+def test_refuses_an_snr_array_of_more_than_one_dimension(qam4):
+    for curve in (mi_curve, mmse_curve):
+        with pytest.raises(ValueError, match="1-D"):
+            curve(qam4, np.ones((2, 2)), 40)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_refuses_a_nan_or_infinite_snr(bad, qam4):
+    for c in (qam4, make_psk(8)):
+        for curve in (mi_curve, mmse_curve):
+            with pytest.raises(ValueError, match="finite"):
+                curve(c, np.array([1.0, bad]), 40)
+
+
 def tensor_oracle(c, gamma, order):
     """MI and bit-MMSE as the full 2-D tensor Gauss-Hermite sum over all symbol pairs.
 
@@ -459,18 +475,63 @@ def test_fused_pass_is_bitwise_the_two_term_sums(make, band_order):
     assert np.array_equal(mm, error / LN2)
 
 
+def _snr_at(c, x):
+    """An SNR g with g * d_min * d_min == x exactly, within a few ulps of x / d_min^2."""
+    g = x / c.d_min**2
+    exact = [h for h in g + np.arange(-4, 5) * np.spacing(g) if h * c.d_min * c.d_min == x]
+    assert exact, (c.label, x)
+    return exact[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_qam(4), lambda: make_qam(16), lambda: make_psk(8),
+    lambda: make_custom([0, 1, 3j, 2 + 1j, -1 - 0.5j]),
+], ids=["4-QAM", "16-QAM", "8-PSK", "custom"])
+def test_batched_pass_is_bitwise_the_per_snr_sums_across_orders_and_chunks(monkeypatch, make):
+    c = make()
+    rng = np.random.default_rng(17)
+    d2 = c.d_min**2
+    # the band is open, so both edges take the requested order
+    below = np.concatenate([[0.0, _snr_at(c, 1.5)], np.geomspace(1e-4, 1.4, 24) / d2])
+    band = np.geomspace(1.6, 120.0, 16) / d2
+    above = np.concatenate([[_snr_at(c, 130.0)], np.geomspace(131.0, 1e6, 24) / d2])
+    # runs of one order, each unsorted and with repeats, most longer than a chunk
+    gammas = np.concatenate([rng.permutation(np.concatenate([r, r[:4]]))
+                             for r in (below, band, above, band[:3], below[:3])])
+    chunks = []
+    term = channel_info._fused_terms
+
+    def recording(sent, alphabet, g, nodes, *rest):
+        chunks.append(nodes.shape[1])
+        return term(sent, alphabet, g, nodes, *rest)
+
+    monkeypatch.setattr(channel_info, "_fused_terms", recording)
+    mi, mm = channel_info._kernel_pass(c, gammas, 40, 200)
+    # a chunk boundary falls inside a run of each order, on every block
+    blocks = _blocks(c.points.tobytes(), c.d_min)
+    runs = Counter(order for order, _ in itertools.groupby(
+        _effective_order(40, g, c.d_min, 200) for g in gammas.tolist()))
+    assert set(runs) == {40, 200}
+    for order, count in runs.items():
+        assert chunks.count(order ** blocks[0][1].shape[1]) > count * len(blocks)
+    penalty = _quadrature_sum_ref(c, gammas, 40, 200, _log_partition_sums_ref)
+    error = _quadrature_sum_ref(c, gammas, 40, 200, _error_sums_ref)
+    assert np.array_equal(mi, np.clip(c.bits - penalty / LN2, 0.0, c.bits))
+    assert np.array_equal(mm, error / LN2)
+
+
 @pytest.fixture()
 def kernel_terms(monkeypatch):
-    """Empty the kernel memo and count the fused-term evaluations."""
+    """Empty the kernel memo and count the SNR-block evaluations of the fused term."""
     monkeypatch.setattr(channel_info, "_LAST_PASS", {})
     calls = []
-    term = channel_info._fused_term
+    term = channel_info._fused_terms
 
     def counting(*args):
-        calls.append(args[2])
+        calls.extend(args[2].tolist())
         return term(*args)
 
-    monkeypatch.setattr(channel_info, "_fused_term", counting)
+    monkeypatch.setattr(channel_info, "_fused_terms", counting)
     return calls
 
 
@@ -512,3 +573,38 @@ def test_kernel_memo_keeps_only_the_last_pass(kernel_terms, qam4):
     # the first grid was dropped, so it runs the kernel again
     mmse_curve(qam4, grids[0], 40)
     assert len(kernel_terms) == 5 * 2
+
+
+def test_node_set_pass_is_batched_and_bounded_in_memory(monkeypatch, qam4):
+    # capture the kernel pass of the 4-QAM Mellin node set (1378 SNRs)
+    monkeypatch.setattr(channel_info, "_LAST_PASS", {})
+    monkeypatch.setattr(amr, "_MELLIN_NODES", {})
+    passes = []
+    kernel_pass = channel_info._kernel_pass
+
+    def capturing(*args):
+        passes.append(args)
+        return kernel_pass(*args)
+
+    monkeypatch.setattr(channel_info, "_kernel_pass", capturing)
+    amr._mellin_nodes(qam4, 40)
+    (args,) = passes
+    calls = []
+    term = channel_info._fused_terms
+
+    def counting(*a):
+        calls.append(a[2].size)
+        return term(*a)
+
+    monkeypatch.setattr(channel_info, "_fused_terms", counting)
+    tracemalloc.start()
+    try:
+        kernel_pass(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one call per SNR and block would be 2 * 1378 = 2756; chunks make 338
+    assert sum(calls) == 2 * args[1].size
+    assert len(calls) <= 400
+    # the work buffer, the chunk's error terms and the (1378,) results
+    assert peak < 6 * 8 * channel_info._CHUNK_DOUBLES
