@@ -28,15 +28,25 @@ exactly that sum, up to rounding, from the structure of the alphabet:
   map the alphabet onto itself. One representative per orbit, weighted by the
   orbit size, gives the sum: 8-PSK evaluates 2 symbols, an alphabet without
   symmetry all M. The representatives are evaluated one at a time.
+- The same argument folds each representative's grid. Its stabilizer, the
+  symmetries above that also fix it, leaves its term unchanged, so the grid
+  sum is a sum over one node per stabilizer orbit, weighted by the orbit
+  size. At order 200, 8-PSK sums 20 000 + 20 100 nodes instead of 2 * 40 000,
+  16-PSK 20 000 + 40 000 + 20 100 instead of 3 * 40 000, and a point at the
+  origin, fixed by all 8 symmetries, 5 050. The sums are those of the full
+  grid up to rounding.
 
 A kernel pass takes each run of consecutive SNRs with one effective order
 through each block in chunks: one exponent array per chunk, which with its
 maximum and sum over the alphabet fits in _CHUNK_DOUBLES (4096) doubles of one
 work buffer, allocated once per pass. A chunk holds as many SNRs as fit, and
 always at least one; a single SNR too large for the buffer (an orbit
-representative at a high order: M * order^2 doubles) gets arrays of its own.
-Every BLAS call acts on one SNR's slice, as it would for a single SNR, so a
-value does not depend on the chunk it was computed in.
+representative at a high order: M times its folded node count) gets arrays of
+its own. Every BLAS call acts on one SNR's slice, as it would for a single
+SNR, so a value does not depend on the chunk it was computed in. The sums
+over a 2-D rule's nodes are numpy's, not BLAS dot products, which OpenBLAS
+splits across threads once they are long; so no value depends on the BLAS
+thread count either.
 
 Both sums come from that one exponent array: the log-partition sum of the MI
 and, after normalizing the same array into the posterior, the error sum of the
@@ -102,6 +112,43 @@ def _noise_rule(hermite_order: int, dims: int):
     return np.stack((np.repeat(x, x.size), np.tile(x, x.size))), np.outer(w, w).ravel()
 
 
+@lru_cache(maxsize=32)
+def _folded_rule(hermite_order: int, stabilizer: tuple):
+    """The 2-D noise rule with one node per orbit of ``stabilizer``.
+
+    Symmetry s maps z to j^(s % 4) z, after conjugating z when s >= 4. The
+    1-D rule is exactly symmetric (x = -x[::-1], w = w[::-1]), so each
+    symmetry permutes the tensor grid and keeps its weights. A block's terms
+    are invariant under its stabilizer, so the grid sum equals the sum over
+    one node per orbit, weighted by the orbit size. At order n a stabilizer
+    of order 2 leaves n^2 / 2 or n (n + 1) / 2 nodes; the full group of 8
+    leaves about n^2 / 8. The trivial stabilizer returns the tensor rule.
+    """
+    nodes, weights = _noise_rule(hermite_order, 2)
+    if len(stabilizer) == 1:
+        return nodes, weights
+    n = hermite_order
+    # node i * n + j sits at x_i + j x_j; its orbit is labelled by its least index
+    i, j = np.divmod(np.arange(n * n), n)
+    label = np.arange(n * n)
+    for s in stabilizer:
+        a, b = (i, n - 1 - j) if s >= 4 else (i, j)
+        for _ in range(s % 4):
+            a, b = n - 1 - b, a
+        np.minimum(label, a * n + b, out=label)
+    size = np.bincount(label, minlength=n * n)
+    keep = size > 0
+    # every node of an orbit has bitwise the same weight, and sizes are powers of 2
+    return nodes[:, keep], weights[keep] * size[keep]
+
+
+def _block_rule(hermite_order: int, stabilizer):
+    """(nodes, weights) of a block of _blocks at this order."""
+    if stabilizer is None:
+        return _noise_rule(hermite_order, 1)
+    return _folded_rule(hermite_order, stabilizer)
+
+
 def _effective_order(requested: int, gamma: float, d_min: float, band_order: int) -> int:
     """Order used at this SNR: flat maximum inside the boundary-layer band.
 
@@ -128,14 +175,17 @@ def _levels(values: np.ndarray, tol: float):
 def _blocks(points_bytes: bytes, d_min: float):
     """Split the alphabet average into independent quadrature blocks.
 
-    Each block is (sent, alphabet, share): real coordinates of the transmitted
-    symbols and of the alphabet as (rows, dims) arrays, and the weight of each
-    transmitted symbol in the total. A Cartesian product of real and imaginary
-    levels gives two 1-D blocks, one per axis. Any other alphabet gives one 2-D
-    block per orbit under those of the 8 grid symmetries that map it onto
-    itself, weighted by the orbit size; without symmetry every point is its
-    own orbit. Points closer than _STRUCTURE_TOL * d_min count as equal, which
-    absorbs rounding such as the ~1e-16 imaginary parts of BPSK.
+    Each block is (sent, alphabet, share, stabilizer): real coordinates of the
+    transmitted symbols and of the alphabet as (rows, dims) arrays, the weight
+    of each transmitted symbol in the total, and the grid symmetries that fold
+    the block's noise rule. A Cartesian product of real and imaginary levels
+    gives two 1-D blocks, one per axis, with stabilizer None. Any other
+    alphabet gives one 2-D block per orbit under those of the 8 grid
+    symmetries that map it onto itself, weighted by the orbit size; without
+    symmetry every point is its own orbit. Its stabilizer is the tuple of
+    those symmetries that also fix its representative, numbered as in
+    _folded_rule. Points closer than _STRUCTURE_TOL * d_min count as equal,
+    which absorbs rounding such as the ~1e-16 imaginary parts of BPSK.
     """
     points = np.frombuffer(points_bytes, dtype=np.complex128)
     size = points.size
@@ -143,24 +193,26 @@ def _blocks(points_bytes: bytes, d_min: float):
     re, re_index = _levels(points.real, tol)
     im, im_index = _levels(points.imag, tol)
     if re.size * im.size == size and np.unique(re_index * im.size + im_index).size == size:
-        return tuple((v[:, None], v[:, None], np.full(v.size, 1.0 / v.size)) for v in (re, im))
+        return tuple((v[:, None], v[:, None], np.full(v.size, 1.0 / v.size), None) for v in (re, im))
 
-    perms = []
+    perms = {}
     # images under the 8 symmetries of the square grid: j^k z and j^k conj(z)
-    for image in (w * 1j**k for w in (points, points.conj()) for k in range(4)):
+    for s in range(8):
+        image = (points.conj() if s >= 4 else points) * 1j ** (s % 4)
         dist = np.abs(image[:, None] - points[None, :])
         perm = dist.argmin(axis=1)
         if dist[np.arange(size), perm].max() <= tol:
-            perms.append(perm)
+            perms[s] = perm
     coords = np.stack((points.real, points.imag), axis=1)
     blocks = []
     seen = np.zeros(size, dtype=bool)
     for m in range(size):
         if not seen[m]:
             # the symmetries found form a group, so the images of m are its orbit
-            orbit = np.unique([perm[m] for perm in perms])
+            orbit = np.unique([perm[m] for perm in perms.values()])
             seen[orbit] = True
-            blocks.append((coords[m : m + 1], coords, np.array([orbit.size / size])))
+            stabilizer = tuple(s for s, perm in perms.items() if perm[m] == m)
+            blocks.append((coords[m : m + 1], coords, np.array([orbit.size / size]), stabilizer))
     return tuple(blocks)
 
 
@@ -172,7 +224,8 @@ def _fused_terms(sent, alphabet, gammas, nodes, weights, work):
     and sum_i w_i |x_t - E[X | n_i]|^2. E and its maximum and sum over m' take
     S * T * (M' + 2) * n doubles of ``work``; a single SNR that needs more gets
     arrays of its own, none larger than its E. Each matmul acts slice by slice,
-    so every value is the one a single SNR gives.
+    so every value is the one a single SNR gives. A 1-D rule sums over its
+    nodes with BLAS dot products, a 2-D rule with numpy sums.
     """
     s, t, m, n = gammas.size, sent.shape[0], alphabet.shape[0], nodes.shape[1]
     size = s * t * n
@@ -192,12 +245,19 @@ def _fused_terms(sent, alphabet, gammas, nodes, weights, work):
     e /= tot[:, :, None, :]
     np.log(tot, out=tot)
     tot += shift
-    log_part = tot @ weights
     # the error terms reuse one buffer: the same arithmetic in fewer arrays
     err = alphabet.T @ e
     np.subtract(sent[:, :, None], err, out=err)
     np.multiply(err, err, out=err)
-    return log_part, err.sum(axis=2) @ weights
+    err = err.sum(axis=2)
+    if nodes.shape[0] == 1:
+        return tot @ weights, err @ weights
+    # OpenBLAS splits long dot products across threads, so those over a 2-D
+    # rule (up to 40 000 nodes) would depend on the thread count; numpy's
+    # pairwise sums do not
+    tot *= weights
+    err *= weights
+    return tot.sum(axis=2), err.sum(axis=2)
 
 
 def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int):
@@ -210,7 +270,7 @@ def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_
     blocks = _blocks(c.points.tobytes(), c.d_min)
     orders = [_effective_order(hermite_order, g, c.d_min, band_order) for g in gammas.tolist()]
     # building a rule allocates far more than the pass, so it comes first
-    rules = {order: [_noise_rule(order, alphabet.shape[1]) for _, alphabet, _ in blocks] for order in set(orders)}
+    rules = {order: [_block_rule(order, block[3]) for block in blocks] for order in set(orders)}
     # the sums, which become the results in place, are allocated before the buffer
     penalty = np.zeros(gammas.shape)
     error = np.zeros(gammas.shape)
@@ -218,7 +278,7 @@ def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_
     start = 0
     for order, run in itertools.groupby(orders):
         stop = start + sum(1 for _ in run)
-        for (sent, alphabet, share), (nodes, weights) in zip(blocks, rules[order]):
+        for (sent, alphabet, share, _), (nodes, weights) in zip(blocks, rules[order]):
             step = max(1, _CHUNK_DOUBLES // (sent.shape[0] * (alphabet.shape[0] + 2) * nodes.shape[1]))
             for lo in range(start, stop, step):
                 i = slice(lo, min(lo + step, stop))

@@ -16,6 +16,16 @@ chunks are bounded in bytes, not samples, so the draws do not depend on the
 chunk size. Estimates are therefore bitwise reproducible for a given
 (seed, n), and an estimate does not depend on which other SNRs or scenarios
 share its draws. Estimates that share draws have correlated errors.
+
+The working set is fixed, whatever ran before in the process. Every draw
+chunk fills one reused buffer of _DRAW_NORMALS doubles (1 MB). The values of
+a reduction chunk fill one reused buffer, through interpolant calls on
+blocks of _BLOCK samples, whose temporaries (64 KB each) stay below glibc's
+default mmap threshold. Fresh multi-megabyte chunks instead land in the heap
+or in new mappings depending on the threshold that earlier frees have set,
+and a process could then hold two draw chunks at once. The interpolant is
+elementwise and the reduction chunks are unchanged, so the block size does
+not change any sum.
 """
 
 from __future__ import annotations
@@ -31,8 +41,11 @@ __all__ = ["McEstimate", "sample_effective_gains", "mc_amr"]
 
 # samples per reduction chunk; fixed, because it sets the partial sums fsum adds
 _CHUNK = 1 << 17
-# real normals per draw chunk (8 MB), whatever K and N are
-_DRAW_NORMALS = 1 << 20
+# samples per interpolation call: its temporaries (64 KB each) stay below
+# glibc's mmap threshold, so they reuse heap instead of faulting in new pages
+_BLOCK = 1 << 13
+# real normals per draw chunk (1 MB), whatever K and N are
+_DRAW_NORMALS = 1 << 17
 
 _SCENARIOS = ("non_cooperative", "cooperative")
 _REDUCE = {"non_cooperative": np.min, "cooperative": np.sum}
@@ -56,12 +69,13 @@ def _gain_chunks(ensemble: ChannelEnsemble, phases: PhaseVector, n: int, seed: i
     a_conj = np.conj(np.einsum("kij,j->ki", ensemble.sqrt_correlations(), phases.f))
     rng = np.random.default_rng(seed)
     k, nn = ensemble.K, ensemble.N
-    rows = max(1, _DRAW_NORMALS // (2 * k * nn))
+    rows = max(1, min(n, _DRAW_NORMALS // (2 * k * nn)))
+    # one buffer for every chunk: the draws fill it in stream order
+    buf = np.empty((rows, k, nn, 2))
     for start in range(0, n, rows):
         m = min(rows, n - start)
-        g = rng.standard_normal((m, k, nn, 2)).view(np.complex128)[..., 0]
+        g = rng.standard_normal(out=buf[:m]).view(np.complex128)[..., 0]
         z = np.einsum("mki,ki->mk", g, a_conj)
-        del g  # free this chunk before the next one is drawn
         # unit-variance real and imaginary parts make E|z|^2 twice the mean gain
         yield 0.5 * (z.real**2 + z.imag**2)
 
@@ -75,14 +89,19 @@ def sample_effective_gains(
     return ensemble.gamma_bar * np.concatenate(list(_gain_chunks(ensemble, phases, n, seed)))
 
 
-def _estimate(info, gamma_bar: float, snr: np.ndarray, seed: int) -> McEstimate:
+def _estimate(info, gamma_bar: float, snr: np.ndarray, seed: int, work: np.ndarray) -> McEstimate:
+    """Mean MI at gamma_bar * snr; ``work`` holds 2 x min(n, _CHUNK) doubles."""
     n = len(snr)
     sums = []
     sq_sums = []
     for start in range(0, n, _CHUNK):
-        vals = info.mi(gamma_bar * snr[start:start + _CHUNK])
+        stop = min(start + _CHUNK, n)
+        vals, sq = work[:, : stop - start]
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            vals[lo - start : hi - start] = info.mi(gamma_bar * snr[lo:hi])
         sums.append(float(vals.sum()))
-        sq_sums.append(float(np.square(vals).sum()))
+        sq_sums.append(float(np.square(vals, out=sq).sum()))
     mean = math.fsum(sums) / n
     var = max(math.fsum(sq_sums) - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
@@ -120,7 +139,8 @@ def mc_amr(
         for s, col in reduced.items():
             col[start:stop] = _REDUCE[s](gains, axis=1)
         start = stop
+    work = np.empty((2, min(n, _CHUNK)))
     return {
-        s: tuple(_estimate(info, float(gb), col, seed) for gb in gamma_bars)
+        s: tuple(_estimate(info, float(gb), col, seed, work) for gb in gamma_bars)
         for s, col in reduced.items()
     }

@@ -85,7 +85,12 @@ def _rule(kind: str, order: int) -> QuadratureRule:
     if order == 1:
         nodes = diag.copy()
     else:
-        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # one dense matrix filled through strides: no per-diagonal temporaries
+        jacobi = np.zeros((order, order))
+        jacobi.flat[:: order + 1] = diag
+        jacobi.flat[1 :: order + 1] = off
+        jacobi.flat[order :: order + 1] = off
+        nodes = np.linalg.eigvalsh(jacobi)
 
     # Newton polish on the orthonormal recurrence; residual target 1e-14.
     for _ in range(8):

@@ -21,7 +21,7 @@ from amrbeam import (
     mmse_curve,
 )
 from amrbeam import amr, channel_info
-from amrbeam.channel_info import _blocks, _effective_order, _noise_rule
+from amrbeam.channel_info import _block_rule, _blocks, _effective_order
 
 LN2 = math.log(2.0)
 
@@ -304,6 +304,9 @@ NAMED = {
     "4-PSK": lambda: make_psk(4),
     "8-PSK": lambda: make_psk(8),
     "16-PSK": lambda: make_psk(16),
+    # the origin is fixed by all 8 grid symmetries, so its block folds 8 ways
+    "origin+4": lambda: make_custom([0, 1, 1j, -1, -1j]),
+    "origin+8-PSK": lambda: make_custom(np.concatenate([[0], make_psk(8).points])),
 }
 
 
@@ -321,18 +324,27 @@ def test_kernel_matches_tensor_oracle_named(name, order):
 
 def test_structure_reductions():
     # square QAM and BPSK split into two 1-D axis blocks; PSK keeps one 2-D
-    # block per orbit under the 8 grid symmetries; no symmetry, no reduction
-    for c, dims, count in (
-        (make_qam(64), 1, 2),
-        (make_psk(2), 1, 2),
-        (make_psk(4), 2, 1),
-        (make_psk(8), 2, 2),
-        (make_psk(16), 2, 3),
-        (make_custom([0, 1, 3j, 2 + 1j]), 2, 4),
+    # block per orbit under the 8 grid symmetries; no symmetry, no reduction.
+    # Each 2-D block sums one node of the order-200 grid per orbit of its
+    # stabilizer: (stabilizer order, nodes) per block, None for a 1-D block
+    for c, folds in (
+        (make_qam(64), [(None, 200)] * 2),
+        (make_psk(2), [(None, 200)] * 2),
+        (make_psk(4), [(2, 20_000)]),
+        (make_psk(8), [(2, 20_000), (2, 20_100)]),
+        (make_psk(16), [(2, 20_000), (1, 40_000), (2, 20_100)]),
+        (make_custom([0, 1, 1j, -1, -1j]), [(8, 5_050), (2, 20_000)]),
+        (make_custom([0, 1, 3j, 2 + 1j]), [(1, 40_000)] * 4),
     ):
         blocks = _blocks(c.points.tobytes(), c.d_min)
-        assert len(blocks) == count, c.label
-        assert all(alphabet.shape[1] == dims for _, alphabet, _ in blocks)
+        found = []
+        for _, alphabet, _, stabilizer in blocks:
+            assert alphabet.shape[1] == (1 if stabilizer is None else 2), c.label
+            nodes, weights = _block_rule(200, stabilizer)
+            assert nodes.shape == (alphabet.shape[1], weights.size)
+            assert abs(weights.sum() - 1.0) <= 1e-15, (c.label, stabilizer)
+            found.append((None if stabilizer is None else len(stabilizer), weights.size))
+        assert found == folds, c.label
 
 
 # z -> j^k z and z -> j^k conj(z); a generator set closes into a subgroup
@@ -429,12 +441,18 @@ def _exponents_ref(sent, alphabet, gamma, nodes):
     return e
 
 
+def _node_sums_ref(values, nodes, weights):
+    # BLAS dot products on a 1-D rule; on a 2-D rule, whose long dot products
+    # BLAS may split across threads, numpy's pairwise sums
+    return values @ weights if nodes.shape[0] == 1 else (values * weights).sum(axis=-1)
+
+
 def _log_partition_sums_ref(sent, alphabet, gamma, nodes, weights):
     e = _exponents_ref(sent, alphabet, gamma, nodes)
     shift = e.max(axis=1)
     e -= shift[:, None, :]
     np.exp(e, out=e)
-    return (np.log(e.sum(axis=1)) + shift) @ weights
+    return _node_sums_ref(np.log(e.sum(axis=1)) + shift, nodes, weights)
 
 
 def _error_sums_ref(sent, alphabet, gamma, nodes, weights):
@@ -443,7 +461,7 @@ def _error_sums_ref(sent, alphabet, gamma, nodes, weights):
     np.exp(post, out=post)
     post /= post.sum(axis=1, keepdims=True)
     err = sent[:, :, None] - alphabet.T @ post
-    return (err * err).sum(axis=1) @ weights
+    return _node_sums_ref((err * err).sum(axis=1), nodes, weights)
 
 
 def _quadrature_sum_ref(c, gammas, hermite_order, band_order, term):
@@ -451,8 +469,8 @@ def _quadrature_sum_ref(c, gammas, hermite_order, band_order, term):
     out = np.zeros(gammas.shape)
     for i, g in enumerate(gammas.tolist()):
         order = _effective_order(hermite_order, g, c.d_min, band_order)
-        for sent, alphabet, share in blocks:
-            nodes, weights = _noise_rule(order, alphabet.shape[1])
+        for sent, alphabet, share, stabilizer in blocks:
+            nodes, weights = _block_rule(order, stabilizer)
             out[i] += share @ term(sent, alphabet, g, nodes, weights)
     return out
 
@@ -513,7 +531,8 @@ def test_batched_pass_is_bitwise_the_per_snr_sums_across_orders_and_chunks(monke
         _effective_order(40, g, c.d_min, 200) for g in gammas.tolist()))
     assert set(runs) == {40, 200}
     for order, count in runs.items():
-        assert chunks.count(order ** blocks[0][1].shape[1]) > count * len(blocks)
+        sizes = {_block_rule(order, block[3])[1].size for block in blocks}
+        assert sum(chunks.count(size) for size in sizes) > count * len(blocks)
     penalty = _quadrature_sum_ref(c, gammas, 40, 200, _log_partition_sums_ref)
     error = _quadrature_sum_ref(c, gammas, 40, 200, _error_sums_ref)
     assert np.array_equal(mi, np.clip(c.bits - penalty / LN2, 0.0, c.bits))

@@ -105,6 +105,19 @@ def test_draws_do_not_depend_on_chunk_size(rng, monkeypatch):
     assert np.array_equal(sample_effective_gains(e, p, 3000, seed=21), whole)
 
 
+def test_estimates_do_not_depend_on_block_or_draw_buffer_size(table_qam4, rng, monkeypatch):
+    # two reduction chunks, the second a partial one
+    n = mc_sim._CHUNK + 20_000
+    e = make_ensemble(3, 4, 0.0, seed=8)
+    p = PhaseVector.random(4, rng)
+    gamma_bars = _gamma_bars([-10.0, 0.0, 10.0])
+    whole = mc_amr(e, p, table_qam4, gamma_bars, n, seed=29)
+    # interpolation blocks of 1001 samples; 7 samples per draw chunk
+    monkeypatch.setattr(mc_sim, "_BLOCK", 1001)
+    monkeypatch.setattr(mc_sim, "_DRAW_NORMALS", 2 * 3 * 4 * 7 + 5)
+    assert mc_amr(e, p, table_qam4, gamma_bars, n, seed=29) == whole
+
+
 def test_estimate_same_alone_or_in_grid(table_qam4, rng):
     e = make_ensemble(4, 5, 0.0, seed=6)
     p = PhaseVector.random(5, rng)
@@ -130,9 +143,10 @@ def test_grid_means_monotone_and_coop_dominates(table_qam4, rng):
 
 
 def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
-    # One draw chunk (8 MB of normals) plus 2 doubles per sample (1.6 MB) and
-    # the reduction's temporaries. Keeping a 1e5-sample array per SNR of one
-    # scenario would add 21 x 0.8 MB on top.
+    # The draw buffer (1 MB of normals), 2 doubles per sample (1.6 MB) and the
+    # reduction's 2 x 1e5 doubles (1.6 MB): 3.5 MB measured. Keeping a
+    # 1e5-sample array per SNR of one scenario would add 21 x 0.8 MB, and an
+    # 8 MB draw chunk would break the bound on its own.
     e = make_ensemble(32, 128, 0.0, model="local_scattering", seed=3)
     p = PhaseVector.random(128, rng)
     e.sqrt_correlations()  # cached on the ensemble; not part of the MC cost
@@ -143,4 +157,4 @@ def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
     finally:
         tracemalloc.stop()
     assert all(len(ests) == len(GRID_DB) for ests in grid.values())
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from amrbeam import gauss_hermite, gauss_laguerre
+from amrbeam import gauss_hermite, gauss_laguerre, quadrature
 
 
 def test_laguerre_order_one():
@@ -94,3 +95,34 @@ def test_rules_are_cached_and_read_only():
             rule.nodes[0] = 1.0
         with pytest.raises(ValueError):
             rule.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["hermite", "laguerre"])
+def test_jacobi_matrix_is_the_sum_of_three_diagonals(kind, monkeypatch):
+    # the matrix eigvalsh receives is bitwise the three-diag sum, so the rule is too
+    cached = {order: quadrature._rule(kind, order) for order in (2, 3, 40, 121, 200)}
+    eigvalsh = np.linalg.eigvalsh
+    orders = []
+
+    def checking(a):
+        diag, off, _ = quadrature._recurrence(kind, a.shape[0])
+        assert np.array_equal(a, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        orders.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", checking)
+    for order, rule in cached.items():
+        assert np.array_equal(quadrature._rule.__wrapped__(kind, order).nodes, rule.nodes)
+    assert orders == list(cached)
+
+
+def test_order_200_rule_builds_one_dense_matrix():
+    # the 200 x 200 matrix is 320 KB; summing three np.diag matrices held two
+    quadrature._rule.__wrapped__("hermite", 200)
+    tracemalloc.start()
+    try:
+        quadrature._rule.__wrapped__("hermite", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 200**2
