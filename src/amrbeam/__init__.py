@@ -37,7 +37,6 @@ from .genetic_opt import GaConfig, GaResult, fitness, ga_optimize
 from .manifold_opt import (
     CompositeSnrObjective,
     LogGainSumObjective,
-    RmCgdConfig,
     RmCgdResult,
     retract,
     riemannian_grad,

@@ -292,7 +292,7 @@ class SaturationGap:
         return float(np.dot(self.weights, self.gap_values * law.pdf(self.nodes)))
 
 
-def fit_gap_slope(gamma_bars, gaps, window=(1e-4, 1e-1)):
+def fit_gap_slope(gamma_bars, gaps, window):
     """Log-log slope of the saturation gap over its final reliable decade.
 
     Keeps points whose gap lies inside ``window``, restricts to the last

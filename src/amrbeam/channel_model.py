@@ -128,7 +128,6 @@ def make_correlation(
     mu: float = 0.0,
     angle: float | None = None,
     spread: float | None = None,
-    hermite_order: int = 200,
 ) -> np.ndarray:
     """One Hermitian PSD correlation matrix with unit diagonal.
 
@@ -136,7 +135,7 @@ def make_correlation(
     ``local_scattering``: half-wavelength ULA facing a scatterer cluster at
     ``angle`` (radians) with Gaussian angular offsets of std ``spread``;
     R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), evaluated by
-    Gauss-Hermite and clipped onto the PSD cone.
+    order-200 Gauss-Hermite and clipped onto the PSD cone.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 antennas, got {n}")
@@ -151,7 +150,7 @@ def make_correlation(
     if model == "local_scattering":
         if angle is None or spread is None or spread <= 0.0:
             raise ValueError("local_scattering model needs angle and spread > 0")
-        rule = gauss_hermite(hermite_order)
+        rule = gauss_hermite(200)
         deltas = math.sqrt(2.0) * spread * rule.nodes
         w = rule.weights / math.sqrt(math.pi)
         sines = np.sin(angle + deltas)

@@ -5,6 +5,14 @@ Every output starts with a metadata header (resolved config, its SHA-256,
 seeds, package version, series truncation levels) sufficient to re-run the
 experiment bit-identically; nothing time-dependent is written, so identical
 invocations produce identical files.
+
+The JSON config describes the experiment. Its fields, all optional, are
+constellation.{kind,order}, K, N, correlation.{model,rho,spread,seed}, snr_db,
+scenario, optimizers, mc_samples, hermite_order,
+table.{db_min,db_max,points_per_decade} and ga.{population,max_generations};
+any other key (ga.seed too: the GA takes the run seed) is a config error. The
+numerical constants live where they are read: genetic_opt, manifold_opt,
+Runner's 50-node Laguerre rule and the slope fit's _GAP_WINDOWS.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +49,7 @@ from .channel_model import (
 )
 from .constellation import make_psk, make_qam
 from .genetic_opt import GaConfig, ga_optimize
-from .manifold_opt import (
-    CompositeSnrObjective,
-    LogGainSumObjective,
-    RmCgdConfig,
-    rm_cgd,
-)
+from .manifold_opt import CompositeSnrObjective, LogGainSumObjective, rm_cgd
 from .mc_sim import mc_amr
 from .quadrature import gauss_laguerre
 
@@ -54,6 +57,8 @@ OPTIMIZERS = ("rmcgd-f1", "rmcgd-f2", "ga", "random")
 _SURROGATES = {"rmcgd-f1": CompositeSnrObjective, "rmcgd-f2": LogGainSumObjective}
 SCENARIOS = {"noncoop": ["non_cooperative"], "coop": ["cooperative"],
              "both": ["non_cooperative", "cooperative"]}
+# gap range [low, high] in bits whose rows the decay-slope fit uses
+_GAP_WINDOWS = {"non_cooperative": (1e-4, 1e-1), "cooperative": (1e-9, 1e-4)}
 _MC_DRAWS = ("one MC draw set per phase vector, shared by its rows at every SNR and "
              "scenario, so their MC errors and z-tests are correlated")
 
@@ -97,12 +102,13 @@ _SCALARS = {
     "correlation.spread": ("corr_spread", float),
     "correlation.seed": ("corr_seed", int),
     "scenario": ("scenario", str),
-    "quadrature_order": ("quadrature_order", int),
     "hermite_order": ("hermite_order", int),
     "table.db_min": ("table_db_min", float),
     "table.db_max": ("table_db_max", float),
     "table.points_per_decade": ("table_points_per_decade", int),
     "mc_samples": ("mc_samples", int),
+    "ga.population": ("ga_population", int),
+    "ga.max_generations": ("ga_max_generations", int),
 }
 
 
@@ -119,24 +125,24 @@ class ExperimentConfig:
     snr_db: list = field(default_factory=lambda: [-30.0, -20.0, -10.0, 0.0, 10.0])
     scenario: str = "both"
     optimizers: list = field(default_factory=lambda: ["rmcgd-f1", "rmcgd-f2", "random"])
-    quadrature_order: int = 50
     hermite_order: int = 40
     table_db_min: float = -40.0
     table_db_max: float = 40.0
     table_points_per_decade: int = 40
     mc_samples: int = 0
-    gap_window: list = field(default_factory=lambda: [1e-4, 1e-1])
-    gap_window_coop: list = field(default_factory=lambda: [1e-9, 1e-4])
-    ga: GaConfig = field(default_factory=GaConfig)
-    rmcgd: RmCgdConfig = field(default_factory=RmCgdConfig)
+    ga_population: int = 50
+    ga_max_generations: int = 200
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls()
-        known = {path.split(".")[0] for path in _SCALARS} | {
-            "snr_db", "optimizers", "gap_window", "gap_window_coop", "ga", "rmcgd"}
+        known = {path.split(".")[0] for path in _SCALARS} | {"snr_db", "optimizers"}
         for key in raw:
             _require(key in known, key, "unknown configuration field")
+        for section in dict.fromkeys(path.rpartition(".")[0] for path in _SCALARS if "." in path):
+            for name in _section(raw, section):
+                path = f"{section}.{name}"
+                _require(path in _SCALARS, path, "unknown configuration field")
         for path, (attr, kind) in _SCALARS.items():
             section, _, name = path.rpartition(".")
             values = _section(raw, section) if section else raw
@@ -166,44 +172,17 @@ class ExperimentConfig:
             _require(opt in OPTIMIZERS, "optimizers", f"unknown optimizer {opt!r}")
         _require(len(cfg.optimizers) > 0, "optimizers", "need at least one optimizer")
 
-        _require(10 <= cfg.quadrature_order <= 200, "quadrature_order", "must be in [10, 200]")
         _require(10 <= cfg.hermite_order <= 200, "hermite_order", "must be in [10, 200]")
         _require(cfg.table_db_min < cfg.table_db_max, "table.db_min", "must be < table.db_max")
         _require(cfg.table_points_per_decade >= 10, "table.points_per_decade", "must be >= 10")
         _require(cfg.mc_samples == 0 or cfg.mc_samples >= 10_000,
                  "mc_samples", "must be 0 (disabled) or >= 10000")
-
-        for name in ("gap_window", "gap_window_coop"):
-            if name in raw:
-                gw = raw[name]
-                message = "must be [low, high] with 0 < low < high"
-                _require(isinstance(gw, (list, tuple)) and len(gw) == 2, name, message)
-                low, high = (_convert(float, v, name) for v in gw)
-                _require(0 < low < high, name, message)
-                setattr(cfg, name, [low, high])
-
-        ga = _section(raw, "ga")
-        # the GA seed is the run seed (--seed), which the header records
-        _require("seed" not in ga, "ga.seed", "not a config field; the GA takes the run seed")
-        try:
-            cfg.ga = GaConfig(**ga)
-        except (TypeError, ValueError) as ex:
-            raise ConfigError("ga", str(ex)) from ex
-        try:
-            cfg.rmcgd = RmCgdConfig(**_section(raw, "rmcgd"))
-        except (TypeError, ValueError) as ex:
-            raise ConfigError("rmcgd", str(ex)) from ex
+        _require(cfg.ga_population >= 4, "ga.population", "must be >= 4")
+        _require(cfg.ga_max_generations >= 1, "ga.max_generations", "must be >= 1")
         return cfg
 
     def resolved(self) -> dict:
-        out = {
-            "snr_db": list(self.snr_db),
-            "optimizers": list(self.optimizers),
-            "gap_window": list(self.gap_window),
-            "gap_window_coop": list(self.gap_window_coop),
-            "ga": {k: v for k, v in self.ga.__dict__.items() if k != "seed"},
-            "rmcgd": dict(self.rmcgd.__dict__),
-        }
+        out = {"snr_db": list(self.snr_db), "optimizers": list(self.optimizers)}
         for path, (attr, _kind) in _SCALARS.items():
             section, _, name = path.rpartition(".")
             (out.setdefault(section, {}) if section else out)[name] = getattr(self, attr)
@@ -278,7 +257,7 @@ class Runner:
         self.out = out_dir
         self.fmt = fmt
         self.constellation = cfg.make_constellation()
-        self.rule = gauss_laguerre(cfg.quadrature_order)
+        self.rule = gauss_laguerre(50)
         self.ensemble = make_ensemble(
             cfg.k, cfg.n, 0.0,
             model=cfg.corr_model, seed=cfg.corr_seed,
@@ -327,10 +306,10 @@ class Runner:
         GA takes ``run_seed`` as its own seed.
         """
         if method == "ga":
-            ga_cfg = replace(self.cfg.ga, seed=run_seed)
+            ga_cfg = GaConfig(self.cfg.ga_population, self.cfg.ga_max_generations, seed=run_seed)
             return ga_optimize(ens, self.table, ga_cfg, self.rule)
         start = PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
-        return rm_cgd(_SURROGATES[method](ens), start, self.cfg.rmcgd)
+        return rm_cgd(_SURROGATES[method](ens), start)
 
     def optimizer_phases(self, method: str, snr_db: float, run_seed: int) -> PhaseVector:
         """Phases produced by one method at one SNR (GA refits per SNR)."""
@@ -468,18 +447,19 @@ def cmd_asymptotics(runner: Runner) -> int:
     """Saturation-gap table and fitted decay slopes on a high-SNR grid.
 
     Gaps come from SaturationGap (reliable far below what the rate-level
-    quadrature resolves) and predicted gaps from the Mellin constants; both
-    integrate over the same node set, whose MMSE and MI come from one kernel
-    pass per alphabet. Each scenario uses its own surrogate
-    optimizer for the phases.
+    quadrature resolves) and predicted gaps (d * gamma_bar)^-G from the Mellin
+    constants, with diversity order G = 1 (weakest user) or K (cooperative);
+    both integrate over the same node set, whose MMSE and MI come from one
+    kernel pass per alphabet. Each scenario uses its own surrogate optimizer
+    for the phases.
     """
     cfg = runner.cfg
     gap_eval = SaturationGap(runner.constellation, cfg.hermite_order)
-    bits = runner.constellation.bits
     rows = []
     slopes = {}
     for scenario in SCENARIOS[cfg.scenario]:
         method = "rmcgd-f1" if scenario == "non_cooperative" else "rmcgd-f2"
+        diversity = 1.0 if scenario == "non_cooperative" else float(cfg.k)
         phases = runner.optimizer_phases(method, cfg.snr_db[0], _seed_for(runner.seed, 7))
         gaps = []
         gbars = []
@@ -490,7 +470,8 @@ def cmd_asymptotics(runner: Runner) -> int:
                 gap = gap_eval.noncoop(min_snr_law(gammas))
             else:
                 gap = gap_eval.coop(mrc_law(gammas, 1e-12))
-            pred = bits - runner.asymptote(scenario, ens, phases)[1]
+            # the gap law itself: log2 M minus the asymptote cancels at small gaps
+            pred = (runner.asymptote(scenario, ens, phases)[0] * ens.gamma_bar) ** -diversity
             gaps.append(gap)
             gbars.append(ens.gamma_bar)
             rows.append({
@@ -500,9 +481,9 @@ def cmd_asymptotics(runner: Runner) -> int:
                 "predicted_gap_bits": pred,
                 "ratio": gap / pred if pred > 0 else None,
             })
-        window = cfg.gap_window if scenario == "non_cooperative" else cfg.gap_window_coop
+        window = _GAP_WINDOWS[scenario]
         try:
-            slope, used = fit_gap_slope(gbars, gaps, tuple(window))
+            slope, used = fit_gap_slope(gbars, gaps, window)
             slopes[scenario] = {"slope": slope, "points_used": used, "gap_window": list(window)}
         except ValueError as ex:
             slopes[scenario] = {"error": str(ex), "gap_window": list(window)}

@@ -1,20 +1,23 @@
 """Genetic search over phase vectors maximizing the cooperative multicast rate.
 
 The fitness of an individual is the cooperative average multicast rate of the
-effective SNRs its phases induce, evaluated through the gamma-series law and
-interpolated mutual information (deterministic, no Monte Carlo). Phases are
-circular, so mutation wraps to (-pi, pi] instead of clamping. Selection,
-crossover, and mutation operators are standard continuous-GA choices:
-tournament selection, uniform crossover, additive Gaussian mutation with a
-per-generation decaying scale, plus elitism, and they are recorded in
-GaResult.metadata. Fitness evaluations within a generation are independent
-(parallelizable); the reference implementation evaluates them sequentially
-from a single seeded generator, so runs are reproducible.
+effective SNRs its phases induce, evaluated through the gamma-series law
+(tail tolerance SERIES_TOL) and interpolated mutual information, with no
+Monte Carlo. Phases are circular, so mutation wraps to (-pi, pi] instead of
+clamping. The operators are module constants, recorded in GaResult.metadata:
+tournament selection among TOURNAMENT_SIZE, uniform crossover with probability
+CROSSOVER_RATE, Gaussian mutation of each gene with probability 1/N and std
+MUTATION_SCALE radians, shrunk by MUTATION_DECAY per generation, and
+ELITISM_COUNT elites. A run stops once the best fitness gains no more than
+STALL_TOL over STALL_GENERATIONS generations; GaConfig sets only the
+population, the generation limit and the seed. Fitness evaluations within a
+generation are independent (parallelizable); the reference implementation
+evaluates them sequentially from a single seeded generator, so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,39 +36,28 @@ from .quadrature import QuadratureRule, gauss_laguerre
 __all__ = ["GaConfig", "GaResult", "fitness", "ga_optimize"]
 
 
+CROSSOVER_RATE = 0.8
+MUTATION_SCALE = 0.3
+MUTATION_DECAY = 0.99
+ELITISM_COUNT = 2
+TOURNAMENT_SIZE = 3
+STALL_GENERATIONS = 30
+STALL_TOL = 1e-6
+SERIES_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 50
     max_generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float | None = None  # per gene; defaults to 1/N at runtime
-    mutation_scale: float = 0.3  # radians, std of the Gaussian perturbation
-    mutation_decay: float = 0.99  # scale multiplier per generation
-    elitism_count: int = 2
-    tournament_size: int = 3
-    stall_generations: int = 30  # stop after this many gens without > stall_tol gain
-    stall_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
+        # population >= 4 also keeps the ELITISM_COUNT elites below the population
         if self.population < 4:
             raise ValueError(f"population must be >= 4, got {self.population}")
-        if not 0 <= self.elitism_count < self.population:
-            raise ValueError("elitism_count must be in [0, population)")
-        for name in ("crossover_rate",):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
-        if self.tournament_size < 1 or self.max_generations < 1 or self.stall_generations < 1:
-            raise ValueError("tournament_size, max_generations and stall_generations must be positive")
-        for name in ("mutation_scale", "stall_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (math.isfinite(self.mutation_decay) and self.mutation_decay > 0.0):
-            raise ValueError(f"mutation_decay must be finite and > 0, got {self.mutation_decay}")
+        if self.max_generations < 1:
+            raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
 
 
 def fitness(
@@ -73,7 +65,6 @@ def fitness(
     ensemble: ChannelEnsemble,
     info,
     rule: QuadratureRule,
-    series_tol: float = 1e-10,
 ) -> float:
     """Cooperative average multicast rate of one individual (bits).
 
@@ -83,7 +74,7 @@ def fitness(
         gammas = effective_snrs(ensemble, phases)
     except NulledUserError:
         return 0.0
-    return amr_coop(info, mrc_law(gammas, series_tol), rule)
+    return amr_coop(info, mrc_law(gammas, SERIES_TOL), rule)
 
 
 @dataclass
@@ -105,12 +96,12 @@ def ga_optimize(
     """Evolve a population of phase vectors; best fitness never decreases.
 
     Stops at max_generations or once the best fitness has improved by no more
-    than cfg.stall_tol over cfg.stall_generations consecutive generations.
+    than STALL_TOL over STALL_GENERATIONS consecutive generations.
     """
     cfg = cfg or GaConfig()
     rule = rule or gauss_laguerre(50)
     n = ensemble.N
-    mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    mut_rate = 1.0 / n
     rng = np.random.default_rng(cfg.seed)
 
     pop = rng.uniform(-np.pi, np.pi, (cfg.population, n))
@@ -121,14 +112,14 @@ def ga_optimize(
         )
 
     def tournament(fits: np.ndarray) -> int:
-        contenders = rng.integers(0, cfg.population, cfg.tournament_size)
+        contenders = rng.integers(0, cfg.population, TOURNAMENT_SIZE)
         return int(contenders[np.argmax(fits[contenders])])
 
     best_trace: list[float] = []
     mean_trace: list[float] = []
     best_theta = pop[0].copy()
     best_fit = -np.inf
-    scale = cfg.mutation_scale
+    scale = MUTATION_SCALE
     stalled = False
 
     gen = 0
@@ -141,18 +132,17 @@ def ga_optimize(
         best_trace.append(float(fits[order[0]]))
         mean_trace.append(float(fits.mean()))
 
-        lookback = cfg.stall_generations
-        if len(best_trace) > lookback and (
-            best_trace[-1] - best_trace[-1 - lookback] <= cfg.stall_tol
+        if len(best_trace) > STALL_GENERATIONS and (
+            best_trace[-1] - best_trace[-1 - STALL_GENERATIONS] <= STALL_TOL
         ):
             stalled = True
             break
 
-        children = [pop[i].copy() for i in order[: cfg.elitism_count]]
+        children = [pop[i].copy() for i in order[:ELITISM_COUNT]]
         while len(children) < cfg.population:
             pa = pop[tournament(fits)]
             pb = pop[tournament(fits)]
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 mask = rng.random(n) < 0.5
                 ca = np.where(mask, pa, pb)
                 cb = np.where(mask, pb, pa)
@@ -167,7 +157,7 @@ def ga_optimize(
                     child[genes] = wrap_phase(child[genes] + rng.normal(0.0, scale, genes.sum()))
                 children.append(child)
         pop = np.asarray(children)
-        scale *= cfg.mutation_decay
+        scale *= MUTATION_DECAY
 
     return GaResult(
         phases=PhaseVector(best_theta),
@@ -176,11 +166,11 @@ def ga_optimize(
         generations=len(best_trace),
         stalled=stalled,
         metadata={
-            "selection": f"tournament-{cfg.tournament_size}",
+            "selection": f"tournament-{TOURNAMENT_SIZE}",
             "crossover": "uniform",
             "mutation": "gaussian-wrap",
             "mutation_rate": mut_rate,
-            "elitism": cfg.elitism_count,
+            "elitism": ELITISM_COUNT,
             "seed": cfg.seed,
         },
     )

@@ -16,12 +16,14 @@ mixes the new gradient with the transported previous direction using a
 nonnegative Polak-Ribiere coefficient, restarting to steepest ascent whenever
 the mixed direction ascends slower than half the gradient itself; with the
 Armijo test on the directional derivative this guarantees every accepted step
-increases the objective by at least c1 * alpha * ||grad||^2.
+increases the objective by at least ARMIJO_C1 * alpha * ||grad||^2. Steps
+start at ARMIJO_STEP0 and grow or shrink by the factor ARMIJO_RATIO at most
+MAX_BACKTRACKS times; a run stops once the tangent gradient norm is below
+GRAD_TOL. These are module constants; only the iteration limit is settable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ import numpy as np
 from .channel_model import ChannelEnsemble, PhaseVector, _checked_forms
 
 __all__ = [
-    "RmCgdConfig",
     "RmCgdResult",
     "CompositeSnrObjective",
     "LogGainSumObjective",
@@ -40,23 +41,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RmCgdConfig:
-    max_iters: int = 200
-    grad_tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    armijo_ratio: float = 0.5
-    armijo_step0: float = 1.0
-    max_backtracks: int = 50
-    pr_restart: bool = True
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be positive")
-        if self.grad_tol <= 0.0 or self.armijo_c1 <= 0.0 or self.armijo_step0 <= 0.0:
-            raise ValueError("tolerances and step sizes must be positive")
-        if not 0.0 < self.armijo_ratio < 1.0:
-            raise ValueError(f"backtracking ratio must be in (0, 1), got {self.armijo_ratio}")
+GRAD_TOL = 1e-6
+ARMIJO_C1 = 1e-4
+ARMIJO_RATIO = 0.5
+ARMIJO_STEP0 = 1.0
+MAX_BACKTRACKS = 50
 
 
 class CompositeSnrObjective:
@@ -141,14 +130,15 @@ class RmCgdResult:
     iterations: int
 
 
-def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> RmCgdResult:
+def rm_cgd(objective, start: PhaseVector, *, max_iters: int = 200) -> RmCgdResult:
     """Conjugate-gradient ascent from ``start`` until the tangent gradient
-    norm falls below config.grad_tol or max_iters is exhausted.
+    norm falls below GRAD_TOL or ``max_iters`` iterations are done.
 
     The objective trace is non-decreasing; on a line-search failure the best
     point so far is returned with the flag set.
     """
-    cfg = config or RmCgdConfig()
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     phi = start.phi.astype(complex)
     f_val = objective.value(phi)
     g = riemannian_grad(objective.euclid_grad(phi), phi)
@@ -157,39 +147,39 @@ def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> 
     trace = [f_val]
     grad_norms = [float(np.linalg.norm(g))]
     steps = []
-    converged = grad_norms[0] < cfg.grad_tol
+    converged = grad_norms[0] < GRAD_TOL
     failed = False
 
     it = 0
-    while not converged and it < cfg.max_iters:
+    while not converged and it < max_iters:
         g_norm_sq = _inner(g, g)
         dirderiv = 2.0 * _inner(g, eta)
         if dirderiv < g_norm_sq:
             eta = g.copy()
             dirderiv = 2.0 * g_norm_sq
 
-        alpha = cfg.armijo_step0
+        alpha = ARMIJO_STEP0
         accepted = False
         cand = retract(phi, eta, alpha)
         f_cand = objective.value(cand)
-        if f_cand >= f_val + cfg.armijo_c1 * alpha * dirderiv:
+        if f_cand >= f_val + ARMIJO_C1 * alpha * dirderiv:
             accepted = True
             # expand while the sufficient-increase test keeps holding, so the
             # step is not pinned to the unit initial guess far from optimum
-            for _ in range(cfg.max_backtracks):
-                alpha_try = alpha / cfg.armijo_ratio
+            for _ in range(MAX_BACKTRACKS):
+                alpha_try = alpha / ARMIJO_RATIO
                 cand_try = retract(phi, eta, alpha_try)
                 f_try = objective.value(cand_try)
-                if f_try >= f_val + cfg.armijo_c1 * alpha_try * dirderiv and f_try >= f_cand:
+                if f_try >= f_val + ARMIJO_C1 * alpha_try * dirderiv and f_try >= f_cand:
                     alpha, cand, f_cand = alpha_try, cand_try, f_try
                 else:
                     break
         else:
-            for _ in range(cfg.max_backtracks):
-                alpha *= cfg.armijo_ratio
+            for _ in range(MAX_BACKTRACKS):
+                alpha *= ARMIJO_RATIO
                 cand = retract(phi, eta, alpha)
                 f_cand = objective.value(cand)
-                if f_cand >= f_val + cfg.armijo_c1 * alpha * dirderiv:
+                if f_cand >= f_val + ARMIJO_C1 * alpha * dirderiv:
                     accepted = True
                     break
         if not accepted:
@@ -197,11 +187,7 @@ def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> 
             break
 
         g_new = riemannian_grad(objective.euclid_grad(cand), cand)
-        if cfg.pr_restart:
-            g_moved = transport(g, cand)
-            zeta = max(_inner(g_new, g_new - g_moved) / g_norm_sq, 0.0)
-        else:
-            zeta = _inner(g_new, g_new) / g_norm_sq
+        zeta = max(_inner(g_new, g_new - transport(g, cand)) / g_norm_sq, 0.0)
         eta = g_new + zeta * transport(eta, cand)
 
         phi, f_val, g = cand, f_cand, g_new
@@ -209,7 +195,7 @@ def rm_cgd(objective, start: PhaseVector, config: RmCgdConfig | None = None) -> 
         trace.append(f_val)
         grad_norms.append(float(np.linalg.norm(g)))
         steps.append(alpha)
-        converged = grad_norms[-1] < cfg.grad_tol
+        converged = grad_norms[-1] < GRAD_TOL
 
     return RmCgdResult(
         phases=PhaseVector.from_phi(phi),

@@ -107,12 +107,36 @@ def test_non_finite_snr_in_config_file_is_a_config_error(capsys, tmp_path):
     assert not (tmp_path / "amr_table.csv").exists()
 
 
-@pytest.mark.parametrize("ga", [{"stall_generations": 0}, {"mutation_scale": -0.3}])
+@pytest.mark.parametrize("ga", [{"population": 3}, {"max_generations": 0}])
 def test_out_of_range_ga_config_is_a_config_error(capsys, tmp_path, ga):
     path = tmp_path / "ga.json"
     path.write_text(json.dumps({**TINY, "ga": {**TINY["ga"], **ga}}))
+    (name,) = ga
     assert _config_error(capsys, ["convergence", "--optimizer", "ga", "--config", str(path),
-                                  "--seed", "1", "--out", str(tmp_path)]) == "ga"
+                                  "--seed", "1", "--out", str(tmp_path)]) == f"ga.{name}"
+
+
+# GA fields that are now constants of genetic_opt, with their former defaults
+_REMOVED_GA = {"crossover_rate": 0.8, "mutation_rate": None, "mutation_scale": 0.3,
+               "mutation_decay": 0.99, "elitism_count": 2, "tournament_size": 3,
+               "stall_generations": 30, "stall_tol": 1e-6}
+
+
+@pytest.mark.parametrize("raw, fld", [
+    *(({"ga": {**TINY["ga"], name: value}}, f"ga.{name}") for name, value in _REMOVED_GA.items()),
+    ({"rmcgd": {"max_iters": 200}}, "rmcgd"),
+    ({"gap_window": [1e-4, 1e-1]}, "gap_window"),
+    ({"gap_window_coop": [1e-9, 1e-4]}, "gap_window_coop"),
+    ({"quadrature_order": 50}, "quadrature_order"),
+], ids=[*(f"ga.{name}" for name in _REMOVED_GA), "rmcgd", "gap_window", "gap_window_coop",
+        "quadrature_order"])
+def test_removed_config_field_is_a_config_error(capsys, tmp_path, raw, fld):
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps({**TINY, **raw}))
+    out = tmp_path / "out"
+    assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
+                                  "--out", str(out)]) == fld
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("raw, fld", [
@@ -121,17 +145,27 @@ def test_out_of_range_ga_config_is_a_config_error(capsys, tmp_path, ga):
     ({"correlation": {"rho": None}}, "correlation.rho"),
     ({"table": {"points_per_decade": "many"}}, "table.points_per_decade"),
     ({"mc_samples": [10_000]}, "mc_samples"),
-    ({"gap_window": ["low", 1.0]}, "gap_window"),
     ({"constellation": 4}, "constellation"),
     ({"scenario": ["both"]}, "scenario"),
-], ids=["K", "snr_db-list", "correlation.rho", "table", "mc_samples", "gap_window",
-        "section", "scenario"])
+], ids=["K", "snr_db-list", "correlation.rho", "table", "mc_samples", "section",
+        "scenario"])
 def test_config_value_of_the_wrong_type_is_a_config_error(capsys, tmp_path, raw, fld):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({**TINY, **raw}))
     assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
                                   "--out", str(tmp_path)]) == fld
     assert not (tmp_path / "amr_table.csv").exists()
+
+
+def test_predicted_gap_is_the_gap_law_where_the_gap_is_below_rounding(tmp_path):
+    # default config, cooperative at 40 dB: the gap is 5.2e-16 bits, where
+    # log2 M minus the asymptote rounds to 4.4e-16 (ratio 1.17)
+    assert run(["asymptotics", "--snr-db=-40:40:5", "--seed", "1", "--out", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "gaps.csv")
+    row = dict(zip(header, next(r.split(",") for r in rows
+                                if r.startswith("cooperative,40.0,"))))
+    assert float(row["gap_bits"]) < 1e-15
+    assert abs(float(row["ratio"]) - 1.0) < 1e-2
 
 
 def test_ga_seed_is_a_config_error(capsys, tiny_config, tmp_path):

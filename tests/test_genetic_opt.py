@@ -85,8 +85,7 @@ def test_larger_population_needs_no_more_generations(table_qam4, rule50):
     seeds = range(100, 116)
     runs = {
         pop: [ga_optimize(e, table_qam4,
-                          GaConfig(population=pop, max_generations=30, seed=seed,
-                                   stall_generations=30), rule50)
+                          GaConfig(population=pop, max_generations=30, seed=seed), rule50)
               for seed in seeds]
         for pop in (20, 50)
     }
@@ -106,23 +105,8 @@ def test_larger_population_needs_no_more_generations(table_qam4, rule50):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="population"):
         GaConfig(population=3)
-    with pytest.raises(ValueError):
-        GaConfig(crossover_rate=1.5)
-    with pytest.raises(ValueError):
-        GaConfig(elitism_count=50, population=50)
-    with pytest.raises(ValueError):
-        GaConfig(mutation_rate=-0.1)
-    # a zero lookback would stop every run after one generation
-    with pytest.raises(ValueError, match="stall_generations"):
-        GaConfig(stall_generations=0)
-    for bad in (-0.3, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="mutation_scale"):
-            GaConfig(mutation_scale=bad)
-        with pytest.raises(ValueError, match="stall_tol"):
-            GaConfig(stall_tol=bad)
-    for bad in (0.0, -0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="mutation_decay"):
-            GaConfig(mutation_decay=bad)
-    GaConfig(mutation_scale=0.0, stall_tol=0.0, stall_generations=1)
+    with pytest.raises(ValueError, match="max_generations"):
+        GaConfig(max_generations=0)
+    GaConfig(population=4, max_generations=1)

@@ -8,13 +8,13 @@ from amrbeam import (
     CompositeSnrObjective,
     LogGainSumObjective,
     PhaseVector,
-    RmCgdConfig,
     make_ensemble,
     retract,
     riemannian_grad,
     rm_cgd,
     transport,
 )
+from amrbeam.manifold_opt import ARMIJO_C1
 
 
 def _random_tangent(phi, rng):
@@ -106,7 +106,7 @@ def test_flat_landscape_terminates_immediately(rng):
 def test_rank_one_alignment(rng):
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng), RmCgdConfig(max_iters=500))
+    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng), max_iters=500)
     q = float(np.real(np.conj(res.phases.phi) @ np.outer(a, a.conj()) @ res.phases.phi))
     assert q >= 0.999 * np.sum(np.abs(a)) ** 2
 
@@ -125,7 +125,7 @@ def test_rank_one_against_grid_search(rng):
     assert best <= target * (1 + 1e-12)
     assert best >= 0.999 * target
     e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(3, rng), RmCgdConfig(max_iters=500))
+    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(3, rng), max_iters=500)
     q = float(np.real(np.conj(res.phases.phi) @ np.outer(a, a.conj()) @ res.phases.phi))
     assert q >= best - 1e-6 * target
 
@@ -145,13 +145,12 @@ def test_multistart_convergence_and_ascent():
 
 def test_sufficient_increase_invariant():
     e = make_ensemble(4, 5, 0.0, seed=19)
-    cfg = RmCgdConfig()
     rng = np.random.default_rng(4)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng), cfg)
+    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng))
     f = res.objective_trace
     for i in range(res.iterations):
         gain = f[i + 1] - f[i]
-        floor = cfg.armijo_c1 * res.step_sizes[i] * res.grad_norms[i] ** 2
+        floor = ARMIJO_C1 * res.step_sizes[i] * res.grad_norms[i] ** 2
         assert gain >= floor * (1 - 1e-9)
 
 
@@ -200,16 +199,13 @@ def test_line_search_failure_flag(rng):
         def euclid_grad(self, phi):
             return 1j * phi  # purely tangent, unit norm per entry
 
-    res = rm_cgd(Hostile(), PhaseVector.random(4, rng), RmCgdConfig(max_backtracks=10))
+    res = rm_cgd(Hostile(), PhaseVector.random(4, rng))
     assert res.line_search_failed
     assert not res.converged
     assert len(res.objective_trace) == 1
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RmCgdConfig(armijo_ratio=1.5)
-    with pytest.raises(ValueError):
-        RmCgdConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        RmCgdConfig(grad_tol=-1.0)
+def test_config_validation(rng):
+    e = make_ensemble(2, 3, 0.0, seed=5)
+    with pytest.raises(ValueError, match="max_iters"):
+        rm_cgd(CompositeSnrObjective(e), PhaseVector.random(3, rng), max_iters=0)
