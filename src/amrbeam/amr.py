@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel_info import mi_curve, mmse_curve
+from .channel_info import _BAND, mi_curve, mmse_curve
 from .channel_model import (
     ChannelEnsemble,
     MrcLaw,
@@ -110,12 +110,13 @@ _MELLIN_NODES: dict = {}
 def _mellin_panels(d_min: float) -> np.ndarray:
     """Panel edges on [0, x_hi], x_hi = 1 + 34 / alpha, alpha = d_min^2 / 8.
 
-    Edges also sit at g * d_min^2 = 1.5 and 130, where the kernel switches
-    its Hermite order, so no panel straddles a switch.
+    Edges also sit at the ends of the kernel's band, g * d_min^2 = 1.5 and
+    130, where it switches its Hermite order and weight floor, so no panel
+    straddles a switch.
     """
     d2 = d_min * d_min
     x_hi = 1.0 + 272.0 / d2  # 1 + 34 / alpha
-    cuts = (1e-10 * x_hi, 1.5 / d2, 130.0 / d2, x_hi)
+    cuts = (1e-10 * x_hi, _BAND[0] / d2, _BAND[1] / d2, x_hi)
     width = 32.0 / (_PANELS_PER_DECADE * d2)  # 4 / (_PANELS_PER_DECADE * alpha)
     edges = [0.0]
     for a, b in zip(cuts[:-1], cuts[1:]):

@@ -80,7 +80,11 @@ def _require(cond: bool, fld: str, message: str) -> None:
 def _convert(kind, value, fld: str):
     """``kind(value)``, or ConfigError(fld) if that fails."""
     try:
-        return kind(value)
+        out = kind(value)
+        # a bool is not a number, and an integer field refuses a fraction
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(fld, f"expected {kind.__name__}, got {value!r}") from ex
 

@@ -21,7 +21,7 @@ from amrbeam import (
     mmse_curve,
 )
 from amrbeam import amr, channel_info
-from amrbeam.channel_info import _block_rule, _blocks, _effective_order
+from amrbeam.channel_info import _WEIGHT_FLOOR, _block_rule, _blocks, _effective_rule
 
 LN2 = math.log(2.0)
 
@@ -326,24 +326,28 @@ def test_structure_reductions():
     # square QAM and BPSK split into two 1-D axis blocks; PSK keeps one 2-D
     # block per orbit under the 8 grid symmetries; no symmetry, no reduction.
     # Each 2-D block sums one node of the order-200 grid per orbit of its
-    # stabilizer: (stabilizer order, nodes) per block, None for a 1-D block
+    # stabilizer, and in band only the orbits of tensor weight >= 1e-40:
+    # (stabilizer order, nodes, floored nodes) per block, None for a 1-D block
     for c, folds in (
-        (make_qam(64), [(None, 200)] * 2),
-        (make_psk(2), [(None, 200)] * 2),
-        (make_psk(4), [(2, 20_000)]),
-        (make_psk(8), [(2, 20_000), (2, 20_100)]),
-        (make_psk(16), [(2, 20_000), (1, 40_000), (2, 20_100)]),
-        (make_custom([0, 1, 1j, -1, -1j]), [(8, 5_050), (2, 20_000)]),
-        (make_custom([0, 1, 3j, 2 + 1j]), [(1, 40_000)] * 4),
+        (make_qam(64), [(None, 200, 200)] * 2),
+        (make_psk(2), [(None, 200, 200)] * 2),
+        (make_psk(4), [(2, 20_000, 5_266)]),
+        (make_psk(8), [(2, 20_000, 5_266), (2, 20_100, 5_307)]),
+        (make_psk(16), [(2, 20_000, 5_266), (1, 40_000, 10_532), (2, 20_100, 5_307)]),
+        (make_custom([0, 1, 1j, -1, -1j]), [(8, 5_050, 1_337), (2, 20_000, 5_266)]),
+        (make_custom([0, 1, 3j, 2 + 1j]), [(1, 40_000, 10_532)] * 4),
     ):
         blocks = _blocks(c.points.tobytes(), c.d_min)
         found = []
         for _, alphabet, _, stabilizer in blocks:
             assert alphabet.shape[1] == (1 if stabilizer is None else 2), c.label
-            nodes, weights = _block_rule(200, stabilizer)
-            assert nodes.shape == (alphabet.shape[1], weights.size)
-            assert abs(weights.sum() - 1.0) <= 1e-15, (c.label, stabilizer)
-            found.append((None if stabilizer is None else len(stabilizer), weights.size))
+            sizes = []
+            for floor in (0.0, _WEIGHT_FLOOR):
+                nodes, weights = _block_rule(200, floor, stabilizer)
+                assert nodes.shape == (alphabet.shape[1], weights.size)
+                assert abs(weights.sum() - 1.0) <= 1e-15, (c.label, stabilizer, floor)
+                sizes.append(weights.size)
+            found.append((None if stabilizer is None else len(stabilizer), *sizes))
         assert found == folds, c.label
 
 
@@ -465,12 +469,13 @@ def _error_sums_ref(sent, alphabet, gamma, nodes, weights):
 
 
 def _quadrature_sum_ref(c, gammas, hermite_order, band_order, term):
+    # each SNR takes the rule the kernel takes: in band the band order, floored
     blocks = _blocks(c.points.tobytes(), c.d_min)
     out = np.zeros(gammas.shape)
     for i, g in enumerate(gammas.tolist()):
-        order = _effective_order(hermite_order, g, c.d_min, band_order)
+        order, floor = _effective_rule(hermite_order, g, c.d_min, band_order)
         for sent, alphabet, share, stabilizer in blocks:
-            nodes, weights = _block_rule(order, stabilizer)
+            nodes, weights = _block_rule(order, floor, stabilizer)
             out[i] += share @ term(sent, alphabet, g, nodes, weights)
     return out
 
@@ -527,16 +532,39 @@ def test_batched_pass_is_bitwise_the_per_snr_sums_across_orders_and_chunks(monke
     mi, mm = channel_info._kernel_pass(c, gammas, 40, 200)
     # a chunk boundary falls inside a run of each order, on every block
     blocks = _blocks(c.points.tobytes(), c.d_min)
-    runs = Counter(order for order, _ in itertools.groupby(
-        _effective_order(40, g, c.d_min, 200) for g in gammas.tolist()))
-    assert set(runs) == {40, 200}
-    for order, count in runs.items():
-        sizes = {_block_rule(order, block[3])[1].size for block in blocks}
+    runs = Counter(key for key, _ in itertools.groupby(
+        _effective_rule(40, g, c.d_min, 200) for g in gammas.tolist()))
+    assert set(runs) == {(40, 0.0), (200, _WEIGHT_FLOOR)}
+    for key, count in runs.items():
+        sizes = {_block_rule(*key, block[3])[1].size for block in blocks}
         assert sum(chunks.count(size) for size in sizes) > count * len(blocks)
     penalty = _quadrature_sum_ref(c, gammas, 40, 200, _log_partition_sums_ref)
     error = _quadrature_sum_ref(c, gammas, 40, 200, _error_sums_ref)
     assert np.array_equal(mi, np.clip(c.bits - penalty / LN2, 0.0, c.bits))
     assert np.array_equal(mm, error / LN2)
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_weight_floor_moves_in_band_values_by_rounding_only(monkeypatch, name):
+    # the floored pass against the same pass on the full 2-D rules; a 1-D
+    # alphabet is never floored, and outside the band no rule is, so there
+    # the two passes must agree bit for bit
+    c = NAMED[name]()
+    d2 = c.d_min**2
+    gammas = np.concatenate([np.geomspace(1e-4, 1e6, 61), np.array([1.4, 1.6, 20.0, 129.0, 131.0, 300.0]) / d2])
+    x = gammas * c.d_min * c.d_min
+    in_band = (1.5 < x) & (x < 130.0)
+    mi, mm = channel_info._kernel_pass(c, gammas, 40, 200)
+    monkeypatch.setattr(channel_info, "_WEIGHT_FLOOR", 0.0)
+    full_mi, full_mm = channel_info._kernel_pass(c, gammas, 40, 200)
+    one_d = all(block[3] is None for block in _blocks(c.points.tobytes(), c.d_min))
+    exact = ~in_band | one_d
+    assert np.array_equal(mi[exact], full_mi[exact]), name
+    assert np.array_equal(mm[exact], full_mm[exact]), name
+    # the tail beyond the band is what a floor there would lose
+    assert np.any(~in_band & (full_mm > 0.0) & (full_mm < 1e-20))
+    assert np.all(np.abs(mi - full_mi)[in_band] <= 1e-15), name
+    assert np.all(np.abs(mm - full_mm)[in_band] <= 1e-14 * full_mm[in_band]), name
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from amrbeam import amr, channel_info
-from amrbeam.cli import ConfigError, parse_snr, run
+from amrbeam.cli import ConfigError, ExperimentConfig, parse_snr, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -147,14 +147,27 @@ def test_removed_config_field_is_a_config_error(capsys, tmp_path, raw, fld):
     ({"mc_samples": [10_000]}, "mc_samples"),
     ({"constellation": 4}, "constellation"),
     ({"scenario": ["both"]}, "scenario"),
+    # an integer field refuses a fraction or a bool instead of truncating it
+    ({"K": 2.9}, "K"),
+    ({"K": True}, "K"),
+    ({"ga": {**TINY["ga"], "population": 8.7}}, "ga.population"),
+    ({"correlation": {"seed": 1.5}}, "correlation.seed"),
+    ({"correlation": {"seed": False}}, "correlation.seed"),
 ], ids=["K", "snr_db-list", "correlation.rho", "table", "mc_samples", "section",
-        "scenario"])
+        "scenario", "K-fraction", "K-bool", "ga.population-fraction", "correlation.seed-fraction",
+        "correlation.seed-bool"])
 def test_config_value_of_the_wrong_type_is_a_config_error(capsys, tmp_path, raw, fld):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({**TINY, **raw}))
     assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
                                   "--out", str(tmp_path)]) == fld
     assert not (tmp_path / "amr_table.csv").exists()
+
+
+def test_whole_number_written_as_a_float_is_that_integer():
+    cfg = ExperimentConfig.from_dict({"K": 3.0, "ga": {"population": 8.0}, "correlation": {"seed": 2.0}})
+    assert (cfg.k, cfg.ga_population, cfg.corr_seed) == (3, 8, 2)
+    assert all(type(v) is int for v in (cfg.k, cfg.ga_population, cfg.corr_seed))
 
 
 def test_predicted_gap_is_the_gap_law_where_the_gap_is_below_rounding(tmp_path):
