@@ -7,8 +7,8 @@ from .amr import (
     SaturationGap,
     amr_coop,
     amr_noncoop,
-    asymptote_coop,
-    asymptote_noncoop,
+    array_gain_coop,
+    array_gain_noncoop,
     fit_gap_slope,
     mellin_mmse,
 )
@@ -41,7 +41,6 @@ from .manifold_opt import (
     retract,
     riemannian_grad,
     rm_cgd,
-    transport,
 )
-from .mc_sim import McEstimate, mc_amr, sample_effective_gains
+from .mc_sim import McEstimate, mc_amr
 from .quadrature import QuadratureRule, gauss_hermite, gauss_laguerre

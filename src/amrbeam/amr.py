@@ -2,14 +2,16 @@
 
 Non-cooperative transmission is limited by the weakest user, so the rate
 averages the scalar mutual information against the exponential law of the
-minimum SNR; a Gauss-Laguerre rule turns that into sum_t w_t mi(gamma_non v_t).
-Cooperative reception sums the per-user SNRs, and the rate averages against
-the gamma-series law, giving a double sum over series terms and quadrature
-nodes with all gamma-function factors kept in log space.
+minimum SNR; the module's one 50-node Gauss-Laguerre rule turns that into
+sum_t w_t mi(gamma_non v_t). Cooperative reception sums the per-user SNRs,
+and the rate averages against the gamma-series law on the same nodes, giving
+a double sum over series terms and quadrature nodes with all gamma-function
+factors kept in log space.
 
-At high SNR both rates approach log2(M) like A - (d * snr)^(-G): diversity
-order G = 1 (non-cooperative) or K (cooperative), with the array gain d built
-from a Mellin moment of the MMSE curve and the beamforming gains f^H R_k f.
+At high SNR both rates approach log2(M) - (d * snr)^(-G), with diversity
+order G = 1 (non-cooperative) or K (cooperative). The beamformer enters only
+through the array gain d, a plain number built from a Mellin moment of the
+MMSE curve and the beamforming gains f^H R_k f (array_gain_*).
 The Mellin moments and the saturation gap share the package's one node set
 per alphabet and Hermite order (_mellin_nodes): composite Gauss-Legendre
 panels plus a Gauss-Laguerre far tail. One kernel pass over all of it gives
@@ -36,51 +38,48 @@ from .channel_model import (
     quadratic_forms,
 )
 from .constellation import Constellation
-from .quadrature import QuadratureRule, gauss_laguerre
+from .quadrature import gauss_laguerre
 
 __all__ = [
     "amr_noncoop",
     "amr_coop",
     "mellin_mmse",
-    "asymptote_noncoop",
-    "asymptote_coop",
+    "array_gain_noncoop",
+    "array_gain_coop",
     "SaturationGap",
     "fit_gap_slope",
 ]
 
 
-def _check_rule(rule: QuadratureRule) -> None:
-    if rule.kind != "laguerre":
-        raise ValueError(f"expected a laguerre rule, got {rule.kind!r}")
-    if rule.order < 10:
-        raise ValueError(f"rule order must be >= 10, got {rule.order}")
+# the rate averages' Gauss-Laguerre rule, with the logs amr_coop sums in
+_RATE_RULE = gauss_laguerre(50)
+_LOG_NODES = np.log(_RATE_RULE.nodes)
+_LOG_WEIGHTS = np.log(_RATE_RULE.weights)
 
 
-def amr_noncoop(info, gamma_non: float, rule: QuadratureRule) -> float:
+def amr_noncoop(info, gamma_non: float) -> float:
     """Average multicast rate in bits for weakest-user decoding.
 
     ``info`` is anything exposing mi(gamma) (InfoTable or DirectInfo);
     ``gamma_non`` is the harmonic-composite mean of the minimum SNR.
     """
-    _check_rule(rule)
     if gamma_non <= 0.0:
         raise ValueError(f"gamma_non must be positive, got {gamma_non}")
-    val = float(np.dot(rule.weights, info.mi(gamma_non * rule.nodes)))
+    val = float(np.dot(_RATE_RULE.weights, info.mi(gamma_non * _RATE_RULE.nodes)))
     return min(max(val, 0.0), info.constellation.bits)
 
 
-def amr_coop(info, law: MrcLaw, rule: QuadratureRule) -> float:
+def amr_coop(info, law: MrcLaw) -> float:
     """Average multicast rate in bits for joint (summed-SNR) decoding.
 
     Evaluates the gamma-series mixture term by term: component l contributes
     c_l / Gamma(K+l) * sum_t w_t v_t^(K+l-1) mi(gamma_min v_t).
     """
-    _check_rule(rule)
-    mi = info.mi(law.gamma_min * rule.nodes)
+    mi = info.mi(law.gamma_min * _RATE_RULE.nodes)
     shape = law.K + np.arange(law.L + 1)
     log_terms = (
-        np.log(rule.weights)[None, :]
-        + (shape[:, None] - 1.0) * np.log(rule.nodes)[None, :]
+        _LOG_WEIGHTS[None, :]
+        + (shape[:, None] - 1.0) * _LOG_NODES[None, :]
         - log_gamma_range(law.K, law.K + law.L + 1)[:, None]
     )
     val = float(law.coeffs @ (np.exp(log_terms) @ mi))
@@ -215,49 +214,27 @@ def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     return total
 
 
-def asymptote_noncoop(
-    ensemble: ChannelEnsemble,
-    phases: PhaseVector,
-    mellin2: float,
-    log2_m: float,
-):
-    """High-SNR law of the weakest-user rate: log2(M) - 1 / (d * gamma_bar).
+def array_gain_noncoop(ensemble: ChannelEnsemble, phases: PhaseVector, mellin2: float) -> float:
+    """Array gain d of the weakest-user rate, log2(M) - 1 / (d * gamma_bar).
 
-    Returns (d, asymptote) with d = 1 / (mellin2 * sum_k 1 / q_k) built from
-    the beamforming gains q_k = f^H R_k f; the callable maps a linear average
-    SNR to the asymptotic rate.
+    d = 1 / (mellin2 * sum_k 1 / q_k), built from the beamforming gains
+    q_k = f^H R_k f; it does not depend on the SNR.
     """
     q = quadratic_forms(ensemble, phases)
-    d = 1.0 / (mellin2 * float(np.sum(1.0 / q)))
-
-    def asymptote(gamma_bar):
-        return log2_m - 1.0 / (d * np.asarray(gamma_bar, dtype=float))
-
-    return d, asymptote
+    return 1.0 / (mellin2 * float(np.sum(1.0 / q)))
 
 
-def asymptote_coop(
-    ensemble: ChannelEnsemble,
-    phases: PhaseVector,
-    mellin_k1: float,
-    log2_m: float,
-):
-    """High-SNR law of the joint-decoding rate: log2(M) - (d * gamma_bar)^(-K).
+def array_gain_coop(ensemble: ChannelEnsemble, phases: PhaseVector, mellin_k1: float) -> float:
+    """Array gain d of the joint-decoding rate, log2(M) - (d * gamma_bar)^(-K).
 
     d = (K! * prod_k q_k / mellin_k1)^(1/K), evaluated in log space to stay
     finite for large K. The product of per-user SNRs is read through the
-    SNR-normalized gains q_k = f^H R_k f, not gamma_bar * q_k, so the average
-    SNR appears only in the explicit (d * gamma_bar)^(-K) factor.
+    SNR-normalized gains q_k = f^H R_k f, not gamma_bar * q_k, so d does not
+    depend on the SNR.
     """
     q = quadratic_forms(ensemble, phases)
     k = q.size
-    log_d = (math.lgamma(k + 1.0) + float(np.sum(np.log(q))) - math.log(mellin_k1)) / k
-    d = math.exp(log_d)
-
-    def asymptote(gamma_bar):
-        return log2_m - (d * np.asarray(gamma_bar, dtype=float)) ** (-float(k))
-
-    return d, asymptote
+    return math.exp((math.lgamma(k + 1.0) + float(np.sum(np.log(q))) - math.log(mellin_k1)) / k)
 
 
 class SaturationGap:

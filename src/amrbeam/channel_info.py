@@ -430,13 +430,11 @@ def build_table(
     db_max: float,
     points_per_decade: int,
     hermite_order: int = 40,
-    *,
-    band_order: int = 200,
 ) -> InfoTable:
     """Tabulate both curves on a log-spaced SNR grid.
 
     The grid spans [db_min, db_max] with points_per_decade points per 10 dB.
-    Tabulated values default to the highest boundary-layer order because
+    Tabulated values use the highest boundary-layer order, 200, because
     averaging quadratures downstream resolve the stored curves to ~1e-9.
     """
     if db_min >= db_max:
@@ -448,8 +446,8 @@ def build_table(
     snr = 10.0 ** (grid_db / 10.0)
 
     # one kernel pass: mmse_curve reads the pass that mi_curve just made
-    mi = mi_curve(c, snr, hermite_order, band_order=band_order)
-    mm = mmse_curve(c, snr, hermite_order, band_order=band_order)
+    mi = mi_curve(c, snr, hermite_order, band_order=200)
+    mm = mmse_curve(c, snr, hermite_order, band_order=200)
     # guard fp wiggle so the stored curves satisfy the monotonicity contract
     mi = np.maximum.accumulate(np.clip(mi, 0.0, c.bits))
     mm = np.minimum.accumulate(np.maximum(mm, _MMSE_FLOOR))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -171,7 +171,6 @@ class ChannelEnsemble:
 
     correlations: np.ndarray
     snr_db: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         r = np.asarray(self.correlations, dtype=complex)
@@ -209,11 +208,10 @@ class ChannelEnsemble:
         """The same ensemble at another average SNR.
 
         The copy shares the already cleaned correlations and the square-root
-        cache instead of cleaning them again; the metadata dict is copied.
+        cache instead of cleaning them again.
         """
         out = copy.copy(self)
         out.snr_db = float(snr_db)
-        out.metadata = dict(self.metadata)
         return out
 
     def sqrt_correlations(self) -> np.ndarray:
@@ -241,27 +239,18 @@ def make_ensemble(
 
     ``exponential`` draws a per-user phase progression mu_k uniform on
     (-pi, pi]; ``local_scattering`` draws a per-user nominal angle uniform on
-    (-pi/2, pi/2). Generation is deterministic in (model, seed) and recorded in
-    the ensemble metadata.
+    (-pi/2, pi/2). Generation is deterministic in (model, seed).
     """
     rng = np.random.default_rng(seed)
-    meta = {"model": model, "seed": int(seed), "k": int(k), "n": int(n)}
-    mats = []
     if model == "exponential":
-        mus = rng.uniform(-np.pi, np.pi, k)
-        meta["rho"] = float(rho)
-        meta["mu"] = [float(m) for m in mus]
-        for m in mus:
-            mats.append(make_correlation("exponential", n, rho=rho, mu=float(m)))
+        mats = [make_correlation("exponential", n, rho=rho, mu=float(m))
+                for m in rng.uniform(-np.pi, np.pi, k)]
     elif model == "local_scattering":
-        angles = rng.uniform(-np.pi / 2, np.pi / 2, k)
-        meta["spread"] = float(spread)
-        meta["angles"] = [float(a) for a in angles]
-        for a in angles:
-            mats.append(make_correlation("local_scattering", n, angle=float(a), spread=spread))
+        mats = [make_correlation("local_scattering", n, angle=float(a), spread=spread)
+                for a in rng.uniform(-np.pi / 2, np.pi / 2, k)]
     else:
         raise ValueError(f"unknown correlation model {model!r}")
-    return ChannelEnsemble(np.stack(mats), float(snr_db), meta)
+    return ChannelEnsemble(np.stack(mats), float(snr_db))
 
 
 def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> np.ndarray:

@@ -11,8 +11,9 @@ constellation.{kind,order}, K, N, correlation.{model,rho,spread,seed}, snr_db,
 scenario, optimizers, mc_samples, hermite_order,
 table.{db_min,db_max,points_per_decade} and ga.{population,max_generations};
 any other key (ga.seed too: the GA takes the run seed) is a config error. The
-numerical constants live where they are read: genetic_opt, manifold_opt,
-Runner's 50-node Laguerre rule and the slope fit's _GAP_WINDOWS.
+numerical constants live where they are read: genetic_opt, manifold_opt, amr
+(the 50-node Laguerre rule of the rate averages) and the slope fit's
+_GAP_WINDOWS.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .amr import (
     SaturationGap,
     amr_coop,
     amr_noncoop,
-    asymptote_coop,
-    asymptote_noncoop,
+    array_gain_coop,
+    array_gain_noncoop,
     fit_gap_slope,
     mellin_mmse,
 )
@@ -51,7 +52,6 @@ from .constellation import make_psk, make_qam
 from .genetic_opt import GaConfig, ga_optimize
 from .manifold_opt import CompositeSnrObjective, LogGainSumObjective, rm_cgd
 from .mc_sim import mc_amr
-from .quadrature import gauss_laguerre
 
 OPTIMIZERS = ("rmcgd-f1", "rmcgd-f2", "ga", "random")
 _SURROGATES = {"rmcgd-f1": CompositeSnrObjective, "rmcgd-f2": LogGainSumObjective}
@@ -140,6 +140,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls()
+        _require(isinstance(raw, dict), "config", "must be a JSON object")
         known = {path.split(".")[0] for path in _SCALARS} | {"snr_db", "optimizers"}
         for key in raw:
             _require(key in known, key, "unknown configuration field")
@@ -155,6 +156,10 @@ class ExperimentConfig:
 
         _require(cfg.constellation_kind in ("qam", "psk"), "constellation.kind",
                  f"must be qam or psk, got {cfg.constellation_kind!r}")
+        try:
+            cfg.make_constellation()
+        except ValueError as ex:
+            raise ConfigError("constellation.order", str(ex)) from ex
         _require(cfg.k >= 1, "K", "must be >= 1")
         _require(cfg.n >= 1, "N", "must be >= 1")
         _require(cfg.corr_model in ("exponential", "local_scattering"),
@@ -162,7 +167,8 @@ class ExperimentConfig:
         if cfg.corr_model == "exponential":
             _require(0.0 <= cfg.corr_rho < 1.0, "correlation.rho", "must be in [0, 1)")
         else:
-            _require(cfg.corr_spread > 0.0, "correlation.spread", "must be > 0")
+            _require(0.0 < cfg.corr_spread < math.inf, "correlation.spread",
+                     "must be finite and > 0")
 
         if "snr_db" in raw:
             cfg.snr_db = parse_snr(raw["snr_db"], fld="snr_db")
@@ -220,7 +226,9 @@ def parse_snr(value, fld: str = "snr_db") -> list:
     else:
         raise ConfigError(fld, f"expected list or string, got {type(value).__name__}")
     _require(len(out) > 0, fld, "SNR list is empty")
-    _require(all(map(math.isfinite, out)), fld, f"SNR values must be finite, got {out}")
+    # within 3000 dB of 0 dB the linear SNR 10^(dB / 10) is a finite, normal double
+    _require(all(abs(v) <= 3000.0 for v in out), fld,
+             f"SNR values must be finite and within 3000 dB of 0 dB, got {out}")
     return out
 
 
@@ -261,7 +269,6 @@ class Runner:
         self.out = out_dir
         self.fmt = fmt
         self.constellation = cfg.make_constellation()
-        self.rule = gauss_laguerre(50)
         self.ensemble = make_ensemble(
             cfg.k, cfg.n, 0.0,
             model=cfg.corr_model, seed=cfg.corr_seed,
@@ -311,7 +318,7 @@ class Runner:
         """
         if method == "ga":
             ga_cfg = GaConfig(self.cfg.ga_population, self.cfg.ga_max_generations, seed=run_seed)
-            return ga_optimize(ens, self.table, ga_cfg, self.rule)
+            return ga_optimize(ens, self.table, ga_cfg)
         start = PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
         return rm_cgd(_SURROGATES[method](ens), start)
 
@@ -329,18 +336,15 @@ class Runner:
         """
         if scenario == "non_cooperative":
             law = min_snr_law(gammas)
-            return amr_noncoop(self.table, law, self.rule), law
+            return amr_noncoop(self.table, law), law
         law = mrc_law(gammas, 1e-10)
-        return amr_coop(self.table, law, self.rule), law
+        return amr_coop(self.table, law), law
 
-    def asymptote(self, scenario: str, ens, phases: PhaseVector):
-        """(array gain d, high-SNR asymptote of the rate at ``ens``'s SNR)."""
+    def array_gain(self, scenario: str, phases: PhaseVector) -> float:
+        """Array gain d of the high-SNR law; it depends on the phases, not the SNR."""
         if scenario == "non_cooperative":
-            d, asym = asymptote_noncoop(ens, phases, self.mellin(2.0), self.constellation.bits)
-        else:
-            d, asym = asymptote_coop(ens, phases, self.mellin(self.cfg.k + 1.0),
-                                     self.constellation.bits)
-        return d, float(asym(ens.gamma_bar))
+            return array_gain_noncoop(self.ensemble, phases, self.mellin(2.0))
+        return array_gain_coop(self.ensemble, phases, self.mellin(self.cfg.k + 1.0))
 
 
 def _seed_for(base: int, *parts: int) -> int:
@@ -379,12 +383,15 @@ def cmd_evaluate(runner: Runner) -> int:
                 mc = mc_amr(runner.ensemble, phases, runner.table,
                             [ens.gamma_bar for ens in ensembles], cfg.mc_samples, mc_seed,
                             scenarios)
+            gains = {scenario: runner.array_gain(scenario, phases) for scenario in scenarios}
             for j, ens in enumerate(ensembles):
                 gammas = effective_snrs(ens, phases)
                 for scenario in scenarios:
                     coop = scenario == "cooperative"
                     amr, law = runner.rate(scenario, gammas)
-                    gain, asym_bits = runner.asymptote(scenario, ens, phases)
+                    # numpy arithmetic: where (d * gamma_bar)^-K overflows, the
+                    # asymptote is -inf bits, not an OverflowError
+                    x = np.float64(gains[scenario] * ens.gamma_bar)
                     est = mc[scenario][j] if mc else None
                     rows.append({
                         "method": method,
@@ -394,8 +401,9 @@ def cmd_evaluate(runner: Runner) -> int:
                         "amr_bits": amr,
                         "gamma_non": None if coop else law,
                         "series_truncation": law.L if coop else None,
-                        "array_gain": gain,
-                        "asymptote_bits": asym_bits,
+                        "array_gain": gains[scenario],
+                        "asymptote_bits": float(runner.constellation.bits
+                                                - (x ** -float(cfg.k) if coop else 1.0 / x)),
                         "mc_mean": est.mean if est else None,
                         "mc_std_error": est.std_error if est else None,
                     })
@@ -465,6 +473,7 @@ def cmd_asymptotics(runner: Runner) -> int:
         method = "rmcgd-f1" if scenario == "non_cooperative" else "rmcgd-f2"
         diversity = 1.0 if scenario == "non_cooperative" else float(cfg.k)
         phases = runner.optimizer_phases(method, cfg.snr_db[0], _seed_for(runner.seed, 7))
+        gain = runner.array_gain(scenario, phases)
         gaps = []
         gbars = []
         for snr_db in cfg.snr_db:
@@ -475,7 +484,7 @@ def cmd_asymptotics(runner: Runner) -> int:
             else:
                 gap = gap_eval.coop(mrc_law(gammas, 1e-12))
             # the gap law itself: log2 M minus the asymptote cancels at small gaps
-            pred = (runner.asymptote(scenario, ens, phases)[0] * ens.gamma_bar) ** -diversity
+            pred = (gain * ens.gamma_bar) ** -diversity
             gaps.append(gap)
             gbars.append(ens.gamma_bar)
             rows.append({
@@ -582,14 +591,10 @@ def run(argv=None) -> int:
                 raise ConfigError(
                     "config", f"invalid JSON at line {ex.lineno}, column {ex.colno}: {ex.msg}"
                 ) from ex
-        if args.snr_db is not None:
-            raw["snr_db"] = args.snr_db
-        if args.scenario is not None:
-            raw["scenario"] = args.scenario
-        if args.optimizer:
-            raw["optimizers"] = args.optimizer
-        if args.mc_samples is not None:
-            raw["mc_samples"] = args.mc_samples
+        overrides = {"snr_db": args.snr_db, "scenario": args.scenario,
+                     "optimizers": args.optimizer, "mc_samples": args.mc_samples}
+        if isinstance(raw, dict):  # from_dict refuses any other top level
+            raw.update((k, v) for k, v in overrides.items() if v is not None)
         cfg = ExperimentConfig.from_dict(raw)
     except ConfigError as ex:
         report = {"error": {"type": "config", "field": ex.field, "message": ex.message}}
@@ -597,7 +602,6 @@ def run(argv=None) -> int:
         return 1
 
     os.makedirs(args.out, exist_ok=True)
-    runner = Runner(cfg, seed=args.seed, out_dir=args.out, fmt=args.format)
     commands = {
         "evaluate": cmd_evaluate,
         "convergence": cmd_convergence,
@@ -605,6 +609,7 @@ def run(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
+        runner = Runner(cfg, seed=args.seed, out_dir=args.out, fmt=args.format)
         return commands[args.command](runner)
     except (ValueError, RuntimeError) as ex:
         report = {"error": {"type": "runtime", "message": str(ex)}}

@@ -14,9 +14,6 @@ __all__ = [
     "make_custom",
 ]
 
-# Renormalization larger than this flips the was_renormalized flag on custom inputs.
-_RENORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Constellation:
@@ -30,7 +27,6 @@ class Constellation:
     order: int
     label: str
     d_min: float
-    was_renormalized: bool = False
 
     @property
     def bits(self) -> float:
@@ -61,7 +57,6 @@ def _finalize(points: np.ndarray, label: str) -> Constellation:
         raise ValueError("constellation points are all identical")
     normalized = centered / np.sqrt(energy)
 
-    changed = float(np.max(np.abs(normalized - points)))
     d_min = _min_distance(normalized)
     if d_min <= 0.0:
         raise ValueError("constellation has coincident points")
@@ -70,13 +65,7 @@ def _finalize(points: np.ndarray, label: str) -> Constellation:
     if abs(np.mean(np.abs(normalized) ** 2) - 1.0) > 1e-12:
         raise ValueError("normalization failed to produce unit average energy")
 
-    return Constellation(
-        points=normalized,
-        order=m,
-        label=label,
-        d_min=d_min,
-        was_renormalized=changed > _RENORM_TOL,
-    )
+    return Constellation(points=normalized, order=m, label=label, d_min=d_min)
 
 
 def make_qam(m: int) -> Constellation:
@@ -104,7 +93,6 @@ def make_psk(m: int) -> Constellation:
 def make_custom(points, label: str = "custom") -> Constellation:
     """User-supplied point set, re-normalized to zero mean and unit energy.
 
-    ``was_renormalized`` is set when the normalization moved any point by more
-    than 1e-9; every downstream formula assumes the normalized convention.
+    Every downstream formula assumes the normalized convention.
     """
     return _finalize(np.asarray(points, dtype=np.complex128), label=label)

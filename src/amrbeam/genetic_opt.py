@@ -1,19 +1,19 @@
 """Genetic search over phase vectors maximizing the cooperative multicast rate.
 
 The fitness of an individual is the cooperative average multicast rate of the
-effective SNRs its phases induce, evaluated through the gamma-series law
-(tail tolerance SERIES_TOL) and interpolated mutual information, with no
-Monte Carlo. Phases are circular, so mutation wraps to (-pi, pi] instead of
-clamping. The operators are module constants, recorded in GaResult.metadata:
-tournament selection among TOURNAMENT_SIZE, uniform crossover with probability
-CROSSOVER_RATE, Gaussian mutation of each gene with probability 1/N and std
-MUTATION_SCALE radians, shrunk by MUTATION_DECAY per generation, and
-ELITISM_COUNT elites. A run stops once the best fitness gains no more than
-STALL_TOL over STALL_GENERATIONS generations; GaConfig sets only the
-population, the generation limit and the seed. Fitness evaluations within a
-generation are independent (parallelizable); the reference implementation
-evaluates them sequentially from a single seeded generator, so runs are
-reproducible.
+effective SNRs its phases induce: amr_coop over the gamma-series law (tail
+tolerance SERIES_TOL) and the interpolated mutual information, on amr's
+50-node Laguerre rule, with no Monte Carlo. Phases are circular, so mutation
+wraps to (-pi, pi] instead of clamping. The operators are module constants,
+recorded in GaResult.metadata: tournament selection among TOURNAMENT_SIZE,
+uniform crossover with probability CROSSOVER_RATE, Gaussian mutation of each
+gene with probability 1/N and std MUTATION_SCALE radians, shrunk by
+MUTATION_DECAY per generation, and ELITISM_COUNT elites. A run stops once the
+best fitness gains no more than STALL_TOL over STALL_GENERATIONS generations;
+GaConfig sets only the population, the generation limit and the seed. Fitness
+evaluations within a generation are independent (parallelizable); the
+reference implementation evaluates them sequentially from a single seeded
+generator, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .channel_model import (
     mrc_law,
     wrap_phase,
 )
-from .quadrature import QuadratureRule, gauss_laguerre
 
 __all__ = ["GaConfig", "GaResult", "fitness", "ga_optimize"]
 
@@ -60,12 +59,7 @@ class GaConfig:
             raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
 
 
-def fitness(
-    phases: PhaseVector,
-    ensemble: ChannelEnsemble,
-    info,
-    rule: QuadratureRule,
-) -> float:
+def fitness(phases: PhaseVector, ensemble: ChannelEnsemble, info) -> float:
     """Cooperative average multicast rate of one individual (bits).
 
     A beamformer that nulls any user gets worst-case fitness 0.
@@ -74,7 +68,7 @@ def fitness(
         gammas = effective_snrs(ensemble, phases)
     except NulledUserError:
         return 0.0
-    return amr_coop(info, mrc_law(gammas, SERIES_TOL), rule)
+    return amr_coop(info, mrc_law(gammas, SERIES_TOL))
 
 
 @dataclass
@@ -87,19 +81,13 @@ class GaResult:
     metadata: dict = field(default_factory=dict)
 
 
-def ga_optimize(
-    ensemble: ChannelEnsemble,
-    info,
-    cfg: GaConfig | None = None,
-    rule: QuadratureRule | None = None,
-) -> GaResult:
+def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) -> GaResult:
     """Evolve a population of phase vectors; best fitness never decreases.
 
     Stops at max_generations or once the best fitness has improved by no more
     than STALL_TOL over STALL_GENERATIONS consecutive generations.
     """
     cfg = cfg or GaConfig()
-    rule = rule or gauss_laguerre(50)
     n = ensemble.N
     mut_rate = 1.0 / n
     rng = np.random.default_rng(cfg.seed)
@@ -107,9 +95,7 @@ def ga_optimize(
     pop = rng.uniform(-np.pi, np.pi, (cfg.population, n))
 
     def evaluate(population: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [fitness(PhaseVector(ind), ensemble, info, rule) for ind in population]
-        )
+        return np.asarray([fitness(PhaseVector(ind), ensemble, info) for ind in population])
 
     def tournament(fits: np.ndarray) -> int:
         contenders = rng.integers(0, cfg.population, TOURNAMENT_SIZE)

@@ -2,8 +2,9 @@
 
 The feasible set {phi : |phi_n| = 1} is a product of circles. Tangent vectors
 at phi are exactly those with Re(t_n conj(phi_n)) = 0 per entry; projection
-drops the radial component elementwise, transport re-projects at the new
-point, and the retraction renormalizes each entry to unit modulus.
+(riemannian_grad) drops the radial component elementwise, the same projection
+at the new point transports a tangent vector there, and the retraction
+renormalizes each entry to unit modulus.
 
 Gradients follow the Wirtinger convention g = df/d(conj(phi)), so the
 directional derivative of a real objective along a tangent direction d is
@@ -35,7 +36,6 @@ __all__ = [
     "CompositeSnrObjective",
     "LogGainSumObjective",
     "riemannian_grad",
-    "transport",
     "retract",
     "rm_cgd",
 ]
@@ -93,11 +93,6 @@ class LogGainSumObjective:
 def riemannian_grad(euclid: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at phi."""
     return euclid - np.real(euclid * np.conj(phi)) * phi
-
-
-def transport(eta_prev: np.ndarray, phi_new: np.ndarray) -> np.ndarray:
-    """Carry a tangent vector to the tangent space at phi_new (projection)."""
-    return eta_prev - np.real(eta_prev * np.conj(phi_new)) * phi_new
 
 
 def retract(phi: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
@@ -187,8 +182,9 @@ def rm_cgd(objective, start: PhaseVector, *, max_iters: int = 200) -> RmCgdResul
             break
 
         g_new = riemannian_grad(objective.euclid_grad(cand), cand)
-        zeta = max(_inner(g_new, g_new - transport(g, cand)) / g_norm_sq, 0.0)
-        eta = g_new + zeta * transport(eta, cand)
+        # transport the old gradient and direction to cand by projection
+        zeta = max(_inner(g_new, g_new - riemannian_grad(g, cand)) / g_norm_sq, 0.0)
+        eta = g_new + zeta * riemannian_grad(eta, cand)
 
         phi, f_val, g = cand, f_cand, g_new
         it += 1

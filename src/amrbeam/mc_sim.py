@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel_model import ChannelEnsemble, PhaseVector
 
-__all__ = ["McEstimate", "sample_effective_gains", "mc_amr"]
+__all__ = ["McEstimate", "mc_amr"]
 
 # samples per reduction chunk; fixed, because it sets the partial sums fsum adds
 _CHUNK = 1 << 17
@@ -78,15 +78,6 @@ def _gain_chunks(ensemble: ChannelEnsemble, phases: PhaseVector, n: int, seed: i
         z = np.einsum("mki,ki->mk", g, a_conj)
         # unit-variance real and imaginary parts make E|z|^2 twice the mean gain
         yield 0.5 * (z.real**2 + z.imag**2)
-
-
-def sample_effective_gains(
-    ensemble: ChannelEnsemble, phases: PhaseVector, n: int, seed: int
-) -> np.ndarray:
-    """n x K matrix of instantaneous per-user SNRs (exponential marginals)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
-    return ensemble.gamma_bar * np.concatenate(list(_gain_chunks(ensemble, phases, n, seed)))
 
 
 def _estimate(info, gamma_bar: float, snr: np.ndarray, seed: int, work: np.ndarray) -> McEstimate:

@@ -34,10 +34,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, fn) -> float:
-        """Apply the rule to a callable: sum_i w_i fn(x_i)."""
-        return float(np.dot(self.weights, fn(self.nodes)))
-
 
 def _recurrence(kind: str, order: int):
     """Jacobi recurrence coefficients (diag, offdiag) and total measure mu0."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amrbeam import build_table, gauss_laguerre, make_psk, make_qam
+from amrbeam import build_table, make_psk, make_qam
 
 
 @pytest.fixture(scope="session")
@@ -25,22 +25,6 @@ def qam16():
 def table_qam4(qam4):
     """Workhorse table: dense enough for the 1e-8 quadrature contracts."""
     return build_table(qam4, -40.0, 40.0, 40, 40)
-
-
-@pytest.fixture(scope="session")
-def table_qam16(qam16):
-    """Coarse table for saturation checks (in-band escalation kept cheap)."""
-    return build_table(qam16, -40.0, 40.0, 10, 40, band_order=120)
-
-
-@pytest.fixture(scope="session")
-def rule50():
-    return gauss_laguerre(50)
-
-
-@pytest.fixture(scope="session")
-def rule100():
-    return gauss_laguerre(100)
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import gamma as sgamma
 
 from amrbeam import amr as amr_module
@@ -13,10 +14,11 @@ from amrbeam import (
     SaturationGap,
     amr_coop,
     amr_noncoop,
-    asymptote_coop,
-    asymptote_noncoop,
+    array_gain_coop,
+    array_gain_noncoop,
     effective_snrs,
     fit_gap_slope,
+    gauss_laguerre,
     make_ensemble,
     make_psk,
     make_qam,
@@ -42,30 +44,26 @@ def _random_configs(rng, count, k=4, n=5, snr_lo=-30.0, snr_hi=10.0):
     return out
 
 
-def test_amr_noncoop_limits(table_qam4, rule50):
-    assert amr_noncoop(table_qam4, 1e-12, rule50) < 1e-6
-    assert amr_noncoop(table_qam4, 1e6, rule50) == pytest.approx(2.0, abs=1e-3)
+def test_amr_noncoop_limits(table_qam4):
+    assert amr_noncoop(table_qam4, 1e-12) < 1e-6
+    assert amr_noncoop(table_qam4, 1e6) == pytest.approx(2.0, abs=1e-3)
 
 
-def test_amr_noncoop_against_mc_oracle(table_qam4, rule50):
-    assert abs(amr_noncoop(table_qam4, 1.0, rule50) - AMR1_MC_MEAN) < AMR1_MC_3SE
+def test_amr_noncoop_against_mc_oracle(table_qam4):
+    assert abs(amr_noncoop(table_qam4, 1.0) - AMR1_MC_MEAN) < AMR1_MC_3SE
 
 
-def test_amr_noncoop_validation(table_qam4, rule50):
+def test_amr_noncoop_validation(table_qam4):
     with pytest.raises(ValueError):
-        amr_noncoop(table_qam4, 0.0, rule50)
-    from amrbeam import gauss_hermite
-
-    with pytest.raises(ValueError):
-        amr_noncoop(table_qam4, 1.0, gauss_hermite(40))
+        amr_noncoop(table_qam4, 0.0)
 
 
-def test_amr_coop_k1_degeneracy(table_qam4, rule50):
+def test_amr_coop_k1_degeneracy(table_qam4):
     law = mrc_law([1.3], 1e-10)
-    assert abs(amr_coop(table_qam4, law, rule50) - amr_noncoop(table_qam4, 1.3, rule50)) < 1e-9
+    assert abs(amr_coop(table_qam4, law) - amr_noncoop(table_qam4, 1.3)) < 1e-9
 
 
-def test_amr_coop_equal_gammas_erlang_oracle(table_qam4, rule50):
+def test_amr_coop_equal_gammas_erlang_oracle(table_qam4):
     # independent oracle: piecewise Gauss-Legendre between the table knots
     k, gbar = 4, 0.7
     law = mrc_law([gbar] * k, 1e-10)
@@ -76,51 +74,59 @@ def test_amr_coop_equal_gammas_erlang_oracle(table_qam4, rule50):
     for a, b in zip(edges[:-1], edges[1:]):
         xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
         oracle += 0.5 * (b - a) * float(np.dot(wg, table_qam4.mi(xs) * sgamma.pdf(xs, a=k, scale=gbar)))
-    assert abs(amr_coop(table_qam4, law, rule50) - oracle) < 1e-8
+    assert abs(amr_coop(table_qam4, law) - oracle) < 1e-8
 
 
-def test_amr_coop_random_ensemble_against_mc(table_qam4, rule50, rng):
+def test_amr_coop_random_ensemble_against_mc(table_qam4, rng):
     e = make_ensemble(4, 5, 0.0, seed=11)
     p = PhaseVector.random(5, rng)
     gs = effective_snrs(e, p)
-    analytic = amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50)
+    analytic = amr_coop(table_qam4, mrc_law(gs, 1e-10))
     draws = rng.exponential(gs, size=(10**6, 4)).sum(axis=1)
     vals = table_qam4.mi(draws)
     se = vals.std(ddof=1) / 1000
     assert abs(analytic - vals.mean()) < 3 * se
 
 
-def test_cooperation_dominance(table_qam4, rule50, rng):
+def test_cooperation_dominance(table_qam4, rng):
     for gs in _random_configs(rng, 50):
-        coop = amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50)
-        non = amr_noncoop(table_qam4, min_snr_law(gs), rule50)
+        coop = amr_coop(table_qam4, mrc_law(gs, 1e-10))
+        non = amr_noncoop(table_qam4, min_snr_law(gs))
         assert coop >= non - 1e-9
 
 
-def test_amr_monotone_in_average_snr(table_qam4, rule50, rng):
+def test_amr_monotone_in_average_snr(table_qam4, rng):
     e0 = make_ensemble(4, 5, 0.0, seed=77)
     p = PhaseVector.random(5, rng)
     coop_prev = non_prev = -1.0
     for snr_db in np.arange(-30.0, 31.0, 3.0):
         gs = effective_snrs(e0.with_snr_db(snr_db), p)
-        non = amr_noncoop(table_qam4, min_snr_law(gs), rule50)
-        coop = amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50)
+        non = amr_noncoop(table_qam4, min_snr_law(gs))
+        coop = amr_coop(table_qam4, mrc_law(gs, 1e-10))
         assert non >= non_prev - 1e-12 and coop >= coop_prev - 1e-12
         non_prev, coop_prev = non, coop
 
 
-def test_quadrature_order_self_consistency(table_qam4, rule50, rule100, rng):
+def test_quadrature_order_self_consistency(table_qam4, rng):
+    # reference: both averages on an order-100 Laguerre rule; component l of
+    # the gamma series weighs node v by c_l v^(K+l-1) / Gamma(K+l)
+    rule = gauss_laguerre(100)
     for gs in _random_configs(rng, 8):
         gn = min_snr_law(gs)
-        assert abs(amr_noncoop(table_qam4, gn, rule50) - amr_noncoop(table_qam4, gn, rule100)) < 1e-8
+        ref = float(np.dot(rule.weights, table_qam4.mi(gn * rule.nodes)))
+        assert abs(amr_noncoop(table_qam4, gn) - ref) < 1e-8
         law = mrc_law(gs, 1e-10)
-        assert abs(amr_coop(table_qam4, law, rule50) - amr_coop(table_qam4, law, rule100)) < 1e-8
+        shape = law.K + np.arange(law.L + 1)
+        mix = np.exp(np.log(rule.weights) + (shape[:, None] - 1.0) * np.log(rule.nodes)
+                     - gammaln(shape)[:, None])
+        ref = float(law.coeffs @ (mix @ table_qam4.mi(law.gamma_min * rule.nodes)))
+        assert abs(amr_coop(table_qam4, law) - ref) < 1e-8
 
 
-def test_saturation_ceiling(table_qam4, rule50, rng):
+def test_saturation_ceiling(table_qam4, rng):
     for gs in _random_configs(rng, 10, snr_lo=30.0, snr_hi=60.0):
-        assert amr_noncoop(table_qam4, min_snr_law(gs), rule50) <= 2.0
-        assert amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50) <= 2.0
+        assert amr_noncoop(table_qam4, min_snr_law(gs)) <= 2.0
+        assert amr_coop(table_qam4, mrc_law(gs, 1e-10)) <= 2.0
 
 
 def test_mellin_against_trapezoid_oracle(qam4):
@@ -191,14 +197,15 @@ def test_asymptote_noncoop_identity_ensembles(qam4, rng):
     e_id = e.with_snr_db(0.0)
     e_id.correlations = np.stack([np.eye(5, dtype=complex)] * k)
     p = PhaseVector.random(5, rng)
-    d, asym = asymptote_noncoop(e_id, p, m2, qam4.bits)
+    d = array_gain_noncoop(e_id, p, m2)
     assert d == pytest.approx(1.0 / (m2 * k), rel=1e-12)
-    assert asym(10.0) == pytest.approx(qam4.bits - 1.0 / (d * 10.0), abs=1e-15)
+    # the gain does not depend on the SNR
+    assert array_gain_noncoop(e_id.with_snr_db(30.0), p, m2) == d
     # doubling every correlation doubles the gain
     e2 = e.with_snr_db(0.0)
-    d1, _ = asymptote_noncoop(e2, p, m2, qam4.bits)
-    e2. correlations = 2.0 * e2.correlations
-    d2, _ = asymptote_noncoop(e2, p, m2, qam4.bits)
+    d1 = array_gain_noncoop(e2, p, m2)
+    e2.correlations = 2.0 * e2.correlations
+    d2 = array_gain_noncoop(e2, p, m2)
     assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
 
 
@@ -209,12 +216,11 @@ def test_asymptote_noncoop_gap_prediction(qam4, rng):
     e = make_ensemble(4, 5, 40.0, seed=5)
     p = PhaseVector.random(5, rng)
     gap = gap_eval.noncoop(min_snr_law(effective_snrs(e, p)))
-    d, asym = asymptote_noncoop(e, p, m2, qam4.bits)
-    predicted = qam4.bits - float(asym(e.gamma_bar))
+    predicted = 1.0 / (array_gain_noncoop(e, p, m2) * e.gamma_bar)
     assert abs(gap / predicted - 1.0) < 0.10
 
 
-def test_saturation_gap_complements_rate_at_low_snr(qam4, rule50, rng):
+def test_saturation_gap_complements_rate_at_low_snr(qam4, rng):
     # rate + gap = log2 M; at low SNR the Laguerre rate resolves the SNR
     # density at any scale, so it checks the gap where that density is far
     # narrower than 1
@@ -225,9 +231,9 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rule50, rng):
     for snr_db in np.arange(-40.0, -9.0, 5.0):
         gs = effective_snrs(e.with_snr_db(snr_db), p)
         gn = min_snr_law(gs)
-        assert abs(gap_eval.noncoop(gn) + amr_noncoop(info, gn, rule50) - qam4.bits) < 1e-9
+        assert abs(gap_eval.noncoop(gn) + amr_noncoop(info, gn) - qam4.bits) < 1e-9
         law = mrc_law(gs, 1e-12)
-        assert abs(gap_eval.coop(law) + amr_coop(info, law, rule50) - qam4.bits) < 1e-9
+        assert abs(gap_eval.coop(law) + amr_coop(info, law) - qam4.bits) < 1e-9
 
 
 def test_saturation_gap_matches_panels_four_times_as_dense():
@@ -278,8 +284,11 @@ def test_one_tabulation_per_alphabet(monkeypatch, tmp_path, qam4):
     SaturationGap(qam4, 40)
     mellin_mmse(qam4, 7)
     assert len(passes) == 1
-    # evaluate: one pass for the table, one for the rebuilt node set
+    # evaluate: one pass for the table, one for the rebuilt node set; the
+    # array gains read the node set first, so the kernel memo is cleared too,
+    # or the rebuild would reuse the pass asymptotics left in it
     monkeypatch.setattr(amr_module, "_MELLIN_NODES", {})
+    monkeypatch.setattr(channel_info, "_LAST_PASS", {})
     assert run(["evaluate", "--seed", "1", "--out", str(tmp_path)]) == 0
     assert len(passes) == 3
 
@@ -288,8 +297,8 @@ def test_asymptote_coop_k1_matches_noncoop(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
     e = make_ensemble(1, 5, 0.0, seed=2)
     p = PhaseVector.random(5, rng)
-    d_non, _ = asymptote_noncoop(e, p, m2, qam4.bits)
-    d_coop, _ = asymptote_coop(e, p, m2, qam4.bits)
+    d_non = array_gain_noncoop(e, p, m2)
+    d_coop = array_gain_coop(e, p, m2)
     assert d_coop == pytest.approx(d_non, rel=1e-12)
 
 
@@ -298,7 +307,7 @@ def test_asymptote_coop_equal_unit_forms(qam4):
     e = make_ensemble(2, 4, 0.0, seed=3)
     e.correlations = np.stack([np.eye(4, dtype=complex)] * 2)
     p = PhaseVector(np.zeros(4))
-    d, _ = asymptote_coop(e, p, m3, qam4.bits)
+    d = array_gain_coop(e, p, m3)
     assert d == pytest.approx(math.sqrt(2.0 / m3), rel=1e-12)
 
 

@@ -125,7 +125,7 @@ def test_first_moment_of_mmse_tail(bpsk, qam4):
 
 
 def test_build_table_grid_and_monotonicity(qam4):
-    t = build_table(qam4, -40.0, 40.0, 20, 40, band_order=120)
+    t = build_table(qam4, -40.0, 40.0, 20, 40)
     assert len(t.snr_grid) == 161
     assert np.all(np.diff(t.snr_grid) > 0)
     assert np.all(np.diff(t.mi_values) >= 0)

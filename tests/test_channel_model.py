@@ -101,9 +101,6 @@ def test_with_snr_db_shares_the_cleaned_matrices():
     assert e2.snr_db == 10.0 and e.snr_db == 0.0
     assert np.array_equal(e2.correlations, e.correlations)
     assert e2.sqrt_correlations() is root
-    assert e2.metadata == e.metadata and e2.metadata is not e.metadata
-    e2.metadata["extra"] = 1
-    assert "extra" not in e.metadata
 
 
 def test_effective_snrs_identity_correlations(rng):

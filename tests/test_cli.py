@@ -91,7 +91,8 @@ def _config_error(capsys, args):
     return report["error"]["field"]
 
 
-@pytest.mark.parametrize("snr", ["nan,0", "0,inf", "0:inf:1", "-inf:0:1"])
+# 10^(dB / 10) of +-4000 dB overflows or underflows: no finite, positive linear SNR
+@pytest.mark.parametrize("snr", ["nan,0", "0,inf", "0:inf:1", "-inf:0:1", "4000", "-4000"])
 def test_non_finite_snr_is_a_config_error(capsys, tmp_path, snr):
     assert _config_error(capsys, ["evaluate", f"--snr-db={snr}", "--seed", "1",
                                   "--out", str(tmp_path)]) == "snr_db"
@@ -162,6 +163,26 @@ def test_config_value_of_the_wrong_type_is_a_config_error(capsys, tmp_path, raw,
     assert _config_error(capsys, ["evaluate", "--config", str(path), "--seed", "1",
                                   "--out", str(tmp_path)]) == fld
     assert not (tmp_path / "amr_table.csv").exists()
+
+
+@pytest.mark.parametrize("text, args, fld", [
+    ("null", [], "config"),
+    ("5", [], "config"),
+    ("[[1]]", [], "config"),
+    # a command-line override must not index a non-object either
+    ("null", ["--snr-db=0"], "config"),
+    ('{"constellation": {"kind": "qam", "order": 8}}', [], "constellation.order"),
+    ('{"constellation": {"kind": "psk", "order": 1}}', [], "constellation.order"),
+    ('{"correlation": {"model": "local_scattering", "spread": "inf"}}', [], "correlation.spread"),
+], ids=["null", "number", "list", "null-with-override", "qam-order-8", "psk-order-1",
+        "spread-inf"])
+def test_config_the_run_cannot_use_is_a_config_error(capsys, tmp_path, text, args, fld):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert _config_error(capsys, ["evaluate", "--config", str(path), *args, "--seed", "1",
+                                  "--out", str(out)]) == fld
+    assert not out.exists()
 
 
 def test_whole_number_written_as_a_float_is_that_integer():

@@ -68,10 +68,11 @@ def test_psk4_is_rotated_qam4():
 
 
 def test_custom_renormalization_flag():
+    # a normalized alphabet is kept; any other is moved to the convention
     clean = make_custom([1 + 0j, -1 + 0j], label="pm1")
-    assert not clean.was_renormalized
+    assert np.array_equal(clean.points, [1 + 0j, -1 + 0j])
     shifted = make_custom([1.3 + 0.2j, -0.7 + 0.2j], label="shifted")
-    assert shifted.was_renormalized
+    assert np.allclose(shifted.points, [1 + 0j, -1 + 0j], atol=1e-12)
     assert abs(np.mean(shifted.points)) < 1e-12
     assert np.mean(np.abs(shifted.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 

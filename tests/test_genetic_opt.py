@@ -16,42 +16,42 @@ from amrbeam import (
 )
 
 
-def test_fitness_limits(table_qam4, rule50, rng):
+def test_fitness_limits(table_qam4, rng):
     e = make_ensemble(4, 5, -120.0, seed=1)
     p = PhaseVector.random(5, rng)
-    assert fitness(p, e, table_qam4, rule50) < 1e-6
+    assert fitness(p, e, table_qam4) < 1e-6
     # flat landscape: identity correlations make fitness phase-independent
     eI = ChannelEnsemble(np.stack([np.eye(5, dtype=complex)] * 2), 0.0)
-    vals = {round(fitness(PhaseVector.random(5, rng), eI, table_qam4, rule50), 12) for _ in range(5)}
+    vals = {round(fitness(PhaseVector.random(5, rng), eI, table_qam4), 12) for _ in range(5)}
     assert len(vals) == 1
 
 
-def test_fitness_delegates_to_amr_coop(table_qam4, rule50, rng):
+def test_fitness_delegates_to_amr_coop(table_qam4, rng):
     e = make_ensemble(4, 5, -5.0, seed=2)
     for _ in range(20):
         p = PhaseVector.random(5, rng)
-        expect = amr_coop(table_qam4, mrc_law(effective_snrs(e, p), 1e-10), rule50)
-        assert fitness(p, e, table_qam4, rule50) == expect
+        expect = amr_coop(table_qam4, mrc_law(effective_snrs(e, p), 1e-10))
+        assert fitness(p, e, table_qam4) == expect
 
 
-def test_fitness_nulled_user_is_zero(table_qam4, rule50):
+def test_fitness_nulled_user_is_zero(table_qam4):
     a = np.array([1.0, -1.0], dtype=complex)
     e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
-    assert fitness(PhaseVector(np.zeros(2)), e, table_qam4, rule50) == 0.0
+    assert fitness(PhaseVector(np.zeros(2)), e, table_qam4) == 0.0
 
 
-def test_flat_landscape_constant_best(table_qam4, rule50):
+def test_flat_landscape_constant_best(table_qam4):
     eI = ChannelEnsemble(np.eye(5, dtype=complex)[None, :, :], 0.0)
-    res = ga_optimize(eI, table_qam4, GaConfig(population=16, max_generations=40, seed=3), rule50)
+    res = ga_optimize(eI, table_qam4, GaConfig(population=16, max_generations=40, seed=3))
     assert res.best_per_generation.max() - res.best_per_generation.min() < 1e-12
     assert res.stalled
 
 
-def test_elitism_monotone_and_deterministic(table_qam4, rule50):
+def test_elitism_monotone_and_deterministic(table_qam4):
     e = make_ensemble(4, 5, -10.0, seed=21)
     cfg = GaConfig(population=24, max_generations=40, seed=5)
-    r1 = ga_optimize(e, table_qam4, cfg, rule50)
-    r2 = ga_optimize(e, table_qam4, cfg, rule50)
+    r1 = ga_optimize(e, table_qam4, cfg)
+    r2 = ga_optimize(e, table_qam4, cfg)
     assert np.all(np.diff(r1.best_per_generation) >= 0.0)
     assert np.array_equal(r1.best_per_generation, r2.best_per_generation)
     assert np.array_equal(r1.mean_per_generation, r2.mean_per_generation)
@@ -60,16 +60,16 @@ def test_elitism_monotone_and_deterministic(table_qam4, rule50):
     assert r1.metadata["selection"] == "tournament-3"
 
 
-def test_ga_matches_manifold_optimum_rank_one(table_qam4, rule50, rng):
+def test_ga_matches_manifold_optimum_rank_one(table_qam4, rng):
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
     ref = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng))
-    ref_fit = fitness(ref.phases, e, table_qam4, rule50)
-    res = ga_optimize(e, table_qam4, GaConfig(seed=7), rule50)
+    ref_fit = fitness(ref.phases, e, table_qam4)
+    res = ga_optimize(e, table_qam4, GaConfig(seed=7))
     assert res.best_per_generation[-1] >= 0.99 * ref_fit
 
 
-def test_larger_population_needs_no_more_generations(table_qam4, rule50):
+def test_larger_population_needs_no_more_generations(table_qam4):
     # Claim: a larger population needs no more generations to reach a shared
     # fitness level. Statistic: per run, the sum of the first generations at
     # which the best fitness reaches each of several levels (fractions of the
@@ -85,7 +85,7 @@ def test_larger_population_needs_no_more_generations(table_qam4, rule50):
     seeds = range(100, 116)
     runs = {
         pop: [ga_optimize(e, table_qam4,
-                          GaConfig(population=pop, max_generations=30, seed=seed), rule50)
+                          GaConfig(population=pop, max_generations=30, seed=seed))
               for seed in seeds]
         for pop in (20, 50)
     }

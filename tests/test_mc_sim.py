@@ -15,7 +15,6 @@ from amrbeam import (
     mc_amr,
     min_snr_law,
     mrc_law,
-    sample_effective_gains,
 )
 from amrbeam import mc_sim
 
@@ -27,11 +26,16 @@ def _gamma_bars(snr_db):
     return [10.0 ** (s / 10.0) for s in snr_db]
 
 
+def _gains(e, p, n, seed):
+    """n x K per-user SNRs of the draws mc_amr reduces, at the ensemble's SNR."""
+    return e.gamma_bar * np.concatenate(list(mc_sim._gain_chunks(e, p, n, seed)))
+
+
 def test_gain_marginals(rng):
     e = make_ensemble(4, 5, -20.0, seed=31)
     p = PhaseVector.random(5, rng)
     gs = effective_snrs(e, p)
-    gains = sample_effective_gains(e, p, 10**6, seed=55)
+    gains = _gains(e, p, 10**6, seed=55)
     assert gains.shape == (10**6, 4)
     assert np.max(np.abs(gains.mean(axis=0) / gs - 1.0)) < 0.01
     for k in range(4):
@@ -44,7 +48,7 @@ def test_degenerate_rank_one_correlation(rng):
     r[0, 0] = 1.0
     e = ChannelEnsemble(r[None, :, :], 0.0)
     p = PhaseVector.random(4, rng)
-    gains = sample_effective_gains(e, p, 10**5, seed=3)
+    gains = _gains(e, p, 10**5, seed=3)
     mean = e.gamma_bar * abs(p.f[0]) ** 2  # = gamma_bar / N
     assert kstest(gains[:, 0], expon(scale=mean).cdf).statistic < 0.006
 
@@ -76,20 +80,20 @@ def test_mc_amr_deterministic_and_dominant(table_qam4, rng):
     # shared draws; min <= sum pathwise, so the means order
     assert a1["non_cooperative"][0].mean <= a1["cooperative"][0].mean
     # pathwise check on the raw gains with the identical seed
-    gains = sample_effective_gains(e, p, 10**4, seed=13)
+    gains = _gains(e, p, 10**4, seed=13)
     assert np.all(
         table_qam4.mi(gains.min(axis=1)) <= table_qam4.mi(gains.sum(axis=1)) + 1e-15
     )
 
 
-def test_mc_agrees_with_analytic(table_qam4, rule50, rng):
+def test_mc_agrees_with_analytic(table_qam4, rng):
     e = make_ensemble(4, 5, -20.0, seed=31)
     p = PhaseVector.random(5, rng)
     gs = effective_snrs(e, p)
     est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**6, seed=77)
     analytic = {
-        "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs), rule50),
-        "cooperative": amr_coop(table_qam4, mrc_law(gs, 1e-10), rule50),
+        "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs)),
+        "cooperative": amr_coop(table_qam4, mrc_law(gs, 1e-10)),
     }
     for scenario, rate in analytic.items():
         mc = est[scenario][0]
@@ -99,10 +103,10 @@ def test_mc_agrees_with_analytic(table_qam4, rule50, rng):
 def test_draws_do_not_depend_on_chunk_size(rng, monkeypatch):
     e = make_ensemble(3, 16, 0.0, seed=8)
     p = PhaseVector.random(16, rng)
-    whole = sample_effective_gains(e, p, 3000, seed=21)
+    whole = _gains(e, p, 3000, seed=21)
     # 7 samples per draw chunk, and a last chunk of 4
     monkeypatch.setattr(mc_sim, "_DRAW_NORMALS", 2 * 3 * 16 * 7 + 5)
-    assert np.array_equal(sample_effective_gains(e, p, 3000, seed=21), whole)
+    assert np.array_equal(_gains(e, p, 3000, seed=21), whole)
 
 
 def test_estimates_do_not_depend_on_block_or_draw_buffer_size(table_qam4, rng, monkeypatch):
