@@ -351,6 +351,16 @@ def _seed_for(base: int, *parts: int) -> int:
     return int(np.random.SeedSequence([base, *parts]).generate_state(1)[0])
 
 
+def _gap_law(gain: float, gamma_bar: float, diversity: float) -> float:
+    """High-SNR saturation gap (d * gamma_bar)^-G of diversity order G.
+
+    numpy arithmetic: where the power overflows the gap is inf, not an
+    OverflowError; for finite results it is the C pow of Python floats.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.float64(gain * gamma_bar) ** -diversity)
+
+
 def cmd_evaluate(runner: Runner) -> int:
     """Rate table per optimizer, SNR and scenario.
 
@@ -389,9 +399,9 @@ def cmd_evaluate(runner: Runner) -> int:
                 for scenario in scenarios:
                     coop = scenario == "cooperative"
                     amr, law = runner.rate(scenario, gammas)
-                    # numpy arithmetic: where (d * gamma_bar)^-K overflows, the
-                    # asymptote is -inf bits, not an OverflowError
-                    x = np.float64(gains[scenario] * ens.gamma_bar)
+                    # G = 1 divides: 1 / x and pow(x, -1) differ in the last bit for some x
+                    gap = (_gap_law(gains[scenario], ens.gamma_bar, float(cfg.k)) if coop
+                           else float(1.0 / np.float64(gains[scenario] * ens.gamma_bar)))
                     est = mc[scenario][j] if mc else None
                     rows.append({
                         "method": method,
@@ -402,8 +412,7 @@ def cmd_evaluate(runner: Runner) -> int:
                         "gamma_non": None if coop else law,
                         "series_truncation": law.L if coop else None,
                         "array_gain": gains[scenario],
-                        "asymptote_bits": float(runner.constellation.bits
-                                                - (x ** -float(cfg.k) if coop else 1.0 / x)),
+                        "asymptote_bits": runner.constellation.bits - gap,
                         "mc_mean": est.mean if est else None,
                         "mc_std_error": est.std_error if est else None,
                     })
@@ -484,7 +493,7 @@ def cmd_asymptotics(runner: Runner) -> int:
             else:
                 gap = gap_eval.coop(mrc_law(gammas, 1e-12))
             # the gap law itself: log2 M minus the asymptote cancels at small gaps
-            pred = (gain * ens.gamma_bar) ** -diversity
+            pred = _gap_law(gain, ens.gamma_bar, diversity)
             gaps.append(gap)
             gbars.append(ens.gamma_bar)
             rows.append({

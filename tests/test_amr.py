@@ -338,17 +338,26 @@ def test_fit_gap_slope_recovers_power_law():
 
 def test_reports(tmp_path):
     # the CLI's evaluate rows are the report path: one row per scenario
-    config = {"K": 4, "N": 5, "correlation": {"seed": 4}, "snr_db": [0.0],
+    config = {"K": 4, "N": 5, "correlation": {"seed": 4}, "snr_db": [0.0, 10.0],
               "optimizers": ["random"]}
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert run(["evaluate", "--config", str(tmp_path / "config.json"), "--seed", "1",
                 "--out", str(tmp_path), "--format", "json"]) == 0
-    rows = {row["scenario"]: row
+    rows = {(row["scenario"], row["snr_db"]): row
             for row in json.loads((tmp_path / "amr_table.json").read_text())["rows"]}
-    rn, rc = rows["non_cooperative"], rows["cooperative"]
+    rn, rc = rows["non_cooperative", 0.0], rows["cooperative", 0.0]
     assert 0.0 <= rn["amr_bits"] <= 2.0 and 0.0 <= rc["amr_bits"] <= 2.0
     assert rn["diversity_order"] == 1.0 and rc["diversity_order"] == 4.0
     assert rn["array_gain"] > 0.0 and rc["array_gain"] > 0.0
+    # the asymptote is log2 M - (d * gamma_bar)^-G, with d the same at every SNR
+    for gamma_bar, snr_db in ((1.0, 0.0), (10.0, 10.0)):
+        dn = rows["non_cooperative", snr_db]["array_gain"]
+        dc = rows["cooperative", snr_db]["array_gain"]
+        assert (dn, dc) == (rn["array_gain"], rc["array_gain"])
+        assert rows["non_cooperative", snr_db]["asymptote_bits"] == pytest.approx(
+            2.0 - 1.0 / (dn * gamma_bar), rel=1e-15)
+        assert rows["cooperative", snr_db]["asymptote_bits"] == pytest.approx(
+            2.0 - (dc * gamma_bar) ** -4.0, rel=1e-15)
     assert rn["series_truncation"] is None and rn["gamma_non"] > 0.0
     assert isinstance(rc["series_truncation"], int) and rc["series_truncation"] >= 0
     assert rc["gamma_non"] is None

@@ -202,6 +202,15 @@ def test_predicted_gap_is_the_gap_law_where_the_gap_is_below_rounding(tmp_path):
     assert abs(float(row["ratio"]) - 1.0) < 1e-2
 
 
+def test_predicted_gap_that_overflows_is_inf(tmp_path):
+    # at -1000 dB, (d * gamma_bar)^-4 overflows a double: the row says inf, the run goes on
+    assert run(["asymptotics", "--snr-db=-1000", "--seed", "1", "--out", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "gaps.csv")
+    pred = {r.split(",")[0]: float(dict(zip(header, r.split(",")))["predicted_gap_bits"])
+            for r in rows}
+    assert pred["cooperative"] == math.inf and math.isfinite(pred["non_cooperative"])
+
+
 def test_ga_seed_is_a_config_error(capsys, tiny_config, tmp_path):
     path = tmp_path / "ga_seed.json"
     path.write_text(json.dumps({**TINY, "ga": {**TINY["ga"], "seed": 5}}))
