@@ -6,7 +6,9 @@ minimum SNR; the module's one 50-node Gauss-Laguerre rule turns that into
 sum_t w_t mi(gamma_non v_t). Cooperative reception sums the per-user SNRs,
 and the rate averages against the gamma-series law on the same nodes, giving
 a double sum over series terms and quadrature nodes with all gamma-function
-factors kept in log space.
+factors kept in log space. Those factors do not depend on the law, only on K
+and the term, so their rows are built once per K (_erlang_rows) and grown to
+the longest series seen.
 
 At high SNR both rates approach log2(M) - (d * snr)^(-G), with diversity
 order G = 1 (non-cooperative) or K (cooperative). The beamformer enters only
@@ -55,6 +57,8 @@ __all__ = [
 _RATE_RULE = gauss_laguerre(50)
 _LOG_NODES = np.log(_RATE_RULE.nodes)
 _LOG_WEIGHTS = np.log(_RATE_RULE.weights)
+# K -> amr_coop's rows for the terms l = 0, 1, ..., see _erlang_rows
+_ERLANG_ROWS: dict = {}
 
 
 def amr_noncoop(info, gamma_non: float) -> float:
@@ -69,6 +73,28 @@ def amr_noncoop(info, gamma_non: float) -> float:
     return min(max(val, 0.0), info.constellation.bits)
 
 
+def _erlang_rows(k: int, n: int) -> np.ndarray:
+    """Rows l < n of w_t v_t^(k+l-1) / Gamma(k+l) on the rate rule, read-only.
+
+    The rows of each k are kept and grown to the largest n asked for, only by
+    the rows missing. Each entry is exp of the same elementwise log-space sum
+    whichever call builds it, so a row does not depend on when it was built.
+    """
+    rows = _ERLANG_ROWS.get(k, np.empty((0, _LOG_NODES.size)))
+    have = rows.shape[0]
+    if n > have:
+        shape = k + np.arange(have, n)
+        log_terms = (
+            _LOG_WEIGHTS[None, :]
+            + (shape[:, None] - 1.0) * _LOG_NODES[None, :]
+            - log_gamma_range(k + have, k + n)[:, None]
+        )
+        rows = np.concatenate((rows, np.exp(log_terms)))
+        rows.flags.writeable = False
+        _ERLANG_ROWS[k] = rows
+    return rows[:n]
+
+
 def amr_coop(info, law: MrcLaw) -> float:
     """Average multicast rate in bits for joint (summed-SNR) decoding.
 
@@ -76,13 +102,7 @@ def amr_coop(info, law: MrcLaw) -> float:
     c_l / Gamma(K+l) * sum_t w_t v_t^(K+l-1) mi(gamma_min v_t).
     """
     mi = info.mi(law.gamma_min * _RATE_RULE.nodes)
-    shape = law.K + np.arange(law.L + 1)
-    log_terms = (
-        _LOG_WEIGHTS[None, :]
-        + (shape[:, None] - 1.0) * _LOG_NODES[None, :]
-        - log_gamma_range(law.K, law.K + law.L + 1)[:, None]
-    )
-    val = float(law.coeffs @ (np.exp(log_terms) @ mi))
+    val = float(law.coeffs @ (_erlang_rows(law.K, law.L + 1) @ mi))
     return min(max(val, 0.0), info.constellation.bits)
 
 

@@ -12,7 +12,10 @@ the harmonic-composite mean) and the sum over users (maximal-ratio combining).
 The sum's density is a single gamma series (Moschopoulos 1985, Ann. Inst.
 Stat. Math. 37:541) whose mixture masses are the power-series coefficients of
 prod_k (1 - beta_k) / (1 - beta_k z); a cascade of K first-order recursions
-computes them in O(K L) for L terms, adding only nonnegative numbers. All
+computes them in O(K L) for L terms, adding only nonnegative numbers. The
+cascade runs over blocks of _CASCADE_BLOCK terms, one user at a time, which
+does the same multiply and add for every mass as a term-by-term sweep over
+the users, in the same order, so the masses do not depend on the block. All
 objects here are immutable after construction; Monte Carlo sampling lives in
 mc_sim and takes explicit seeded generators.
 """
@@ -22,8 +25,9 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
+from bisect import bisect_left
+from itertools import accumulate, repeat
+from operator import add, mul
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy 2; every CLI command draws from it
@@ -47,6 +51,9 @@ __all__ = [
 # Quadratic forms at or below this fraction of trace(R_k) count as a nulled user.
 _NULL_EPS = 1e-12
 _MAX_SERIES_TERMS = 10_000
+# Masses per block of mrc_law's cascade: long enough to spread each user's
+# per-block cost, short enough that the terms computed past the stop stay few.
+_CASCADE_BLOCK = 32
 
 # ln Gamma(n) at integer n, indexed by n; Gamma has a pole at 0. Grown on demand.
 _LOG_GAMMA = np.array([math.inf])
@@ -347,25 +354,33 @@ def mrc_law(gammas, tol: float = 1e-10) -> MrcLaw:
     The masses c_l are the coefficients of c_0 prod_k 1 / (1 - beta_k z),
     c_0 = prod_k (1 - beta_k), so a cascade of first-order recursions gives
     them: y_0[l] = c_0 delta[l], y_k[l] = y_{k-1}[l] + beta_k y_k[l-1], and
-    c_l = y_K[l]. All K recursions advance one term l at a time, which costs
-    O(K) per term and O(K L) in all; a user with beta_k = 0 leaves the cascade
+    c_l = y_K[l]. The cascade advances _CASCADE_BLOCK terms at a time: each
+    user in turn runs its recursion over the block, from the value it ended
+    the last block with, on the block its predecessor just produced. That is
+    O(K L) in all, and every y_k[l] is the same product and sum as in a sweep
+    that advances all K recursions one term at a time, so the masses are
+    bitwise those of that sweep. A user with beta_k = 0 leaves the cascade
     unchanged and is skipped. Every term is a sum of nonnegative numbers, so
     nothing cancels and each c_l keeps its relative accuracy however small it
-    is. The truncation bound is exact: the full masses sum to one, so the
-    remainder is 1 minus the accumulated mass. At most _MAX_SERIES_TERMS + 1
-    masses are computed; a law that needs more raises TruncationError.
+    is. The masses are then summed in order, and the series stops at the
+    first one after which 1 minus the sum is below tol; the terms of the
+    block past it are dropped. The truncation bound is exact: the full masses
+    sum to one, so the remainder is 1 minus the accumulated mass. At most
+    _MAX_SERIES_TERMS + 1 masses are computed; a law that needs more raises
+    TruncationError.
     """
     g = np.asarray(gammas, dtype=float)
-    if g.size == 0 or np.any(g <= 0.0):
+    if g.size == 0 or (g <= 0.0).any():
         raise ValueError("per-user SNRs must be positive")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     gmin = float(g.min())
-    beta = [b for b in (1.0 - gmin / g).tolist() if b > 0.0]  # each in (0, 1)
+    ratios = gmin / g
+    beta = [b for b in (1.0 - ratios).tolist() if b > 0.0]  # each in (0, 1)
 
-    c0 = float(np.exp(np.sum(np.log(gmin / g))))
+    c0 = float(np.exp(np.log(ratios).sum()))
     coeffs = [c0]
-    y = [c0] * len(beta)  # y_k[0] = c_0 for every k
+    ends = [c0] * len(beta)  # y_k at the last term computed
     acc = c0
     while 1.0 - acc >= tol:
         if len(coeffs) > _MAX_SERIES_TERMS:
@@ -373,9 +388,24 @@ def mrc_law(gammas, tol: float = 1e-10) -> MrcLaw:
                 f"gamma series needs more than {_MAX_SERIES_TERMS} terms to reach "
                 f"tail mass {tol} (extreme SNR disparity)"
             )
-        y = list(accumulate(map(mul, beta, y)))
-        coeffs.append(y[-1])
-        acc += y[-1]
+        n = min(_CASCADE_BLOCK, _MAX_SERIES_TERMS + 1 - len(coeffs))
+        # the first user has no input past l = 0: y_0[l] = beta_0 y_0[l-1]
+        y = list(accumulate(repeat(beta[0], n), mul, initial=ends[0]))[1:]
+        ends[0] = y[-1]
+        for k in range(1, len(beta)):
+            # y_k[l] = y_{k-1}[l] + beta_k y_k[l-1], with y_k[l-1] read back from
+            # out: extend appends each sum before map reads the next item of out,
+            # and map stops with y, before it would read past the end of out
+            out = [ends[k]]
+            out.extend(map(add, y, map(mul, repeat(beta[k]), out)))
+            y = out[1:]
+            ends[k] = y[-1]
+        sums = list(accumulate(y, initial=acc))
+        # 1 - sum only falls as masses are added, so a bisection finds the first
+        # mass that ends the series; it returns n + 1 when no mass of the block does
+        stop = min(bisect_left(sums, True, 1, key=lambda a: 1.0 - a < tol), n)
+        coeffs += y[:stop]
+        acc = sums[stop]
 
     return MrcLaw(
         gammas=g.copy(),

@@ -12,8 +12,12 @@ MUTATION_DECAY per generation, and ELITISM_COUNT elites. A run stops once the
 best fitness gains no more than STALL_TOL over STALL_GENERATIONS generations;
 GaConfig sets only the population, the generation limit and the seed. Fitness
 evaluations within a generation are independent (parallelizable); the
-reference implementation evaluates them sequentially from a single seeded
-generator, so runs are reproducible.
+reference implementation evaluates them sequentially, and all randomness
+comes from a single seeded generator, so runs are reproducible. Each
+distinct phase vector of a generation is scored once: elites and children
+left unchanged by crossover and mutation repeat a vector of the generation
+before, and take its fitness from there. Only that generation's scores are
+kept, so the memory stays proportional to the population.
 """
 
 from __future__ import annotations
@@ -94,8 +98,17 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
 
     pop = rng.uniform(-np.pi, np.pi, (cfg.population, n))
 
-    def evaluate(population: np.ndarray) -> np.ndarray:
-        return np.asarray([fitness(PhaseVector(ind), ensemble, info) for ind in population])
+    def evaluate(population: np.ndarray, last: dict) -> tuple[np.ndarray, dict]:
+        """Fitness per row, and the scores by phase bytes to pass as the next ``last``.
+
+        A row already scored in this population or in ``last`` is not scored again.
+        """
+        keys = [ind.tobytes() for ind in population]
+        scores: dict = {}
+        for key, ind in zip(keys, population):
+            if key not in scores:
+                scores[key] = last[key] if key in last else fitness(PhaseVector(ind), ensemble, info)
+        return np.asarray([scores[key] for key in keys]), scores
 
     def tournament(fits: np.ndarray) -> int:
         contenders = rng.integers(0, cfg.population, TOURNAMENT_SIZE)
@@ -107,10 +120,10 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
     best_fit = -np.inf
     scale = MUTATION_SCALE
     stalled = False
+    scores: dict = {}
 
-    gen = 0
-    for gen in range(cfg.max_generations):
-        fits = evaluate(pop)
+    for _ in range(cfg.max_generations):
+        fits, scores = evaluate(pop, scores)
         order = np.argsort(fits)[::-1]
         if fits[order[0]] > best_fit:
             best_fit = float(fits[order[0]])

@@ -67,8 +67,14 @@ class CompositeSnrObjective:
         q = _checked_forms(ens, phi, ens.N)
         scale = ens.N / ens.gamma_bar
         total = float(np.sum(scale / q))
+        try:
+            value_sq = total**-2
+        except OverflowError as ex:
+            raise ValueError(
+                f"the composite-SNR surrogate's gradient overflows at {ens.snr_db} dB"
+            ) from ex
         rphi = np.einsum("kij,j->ki", ens.correlations, phi)
-        return (total**-2) * np.einsum("k,ki->i", scale / q**2, rphi)
+        return value_sq * np.einsum("k,ki->i", scale / q**2, rphi)
 
 
 class LogGainSumObjective:

@@ -27,6 +27,7 @@ from amrbeam import (
     mmse_curve,
     mrc_law,
 )
+from amrbeam.channel_model import log_gamma_range
 from amrbeam.cli import run
 
 # Frozen Monte Carlo oracle for E{mi(g)} with g ~ Exp(mean 1), 4-QAM:
@@ -75,6 +76,34 @@ def test_amr_coop_equal_gammas_erlang_oracle(table_qam4):
         xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
         oracle += 0.5 * (b - a) * float(np.dot(wg, table_qam4.mi(xs) * sgamma.pdf(xs, a=k, scale=gbar)))
     assert abs(amr_coop(table_qam4, law) - oracle) < 1e-8
+
+
+def _amr_coop_direct(info, law):
+    """amr_coop with its Erlang-Laguerre rows built afresh for this law."""
+    rule = gauss_laguerre(50)
+    mi = info.mi(law.gamma_min * rule.nodes)
+    shape = law.K + np.arange(law.L + 1)
+    log_terms = (
+        np.log(rule.weights)[None, :]
+        + (shape[:, None] - 1.0) * np.log(rule.nodes)[None, :]
+        - log_gamma_range(law.K, law.K + law.L + 1)[:, None]
+    )
+    val = float(law.coeffs @ (np.exp(log_terms) @ mi))
+    return min(max(val, 0.0), info.constellation.bits)
+
+
+def test_amr_coop_kept_rows_match_rows_built_per_law(monkeypatch, table_qam4):
+    # the series grows, then shrinks, alternating between two K: each call
+    # reads a slice of rows that earlier calls built or grew
+    monkeypatch.setattr(amr_module, "_ERLANG_ROWS", {})
+    longest = {}
+    for spread in (1.5, 4.0, 5.0, 20.0, 60.0, 8.0, 2.0, 1.1):
+        for k in (3, 6):
+            law = mrc_law(0.3 * spread ** np.linspace(0.0, 1.0, k), 1e-12)
+            assert amr_coop(table_qam4, law) == _amr_coop_direct(table_qam4, law)
+            longest[k] = max(longest.get(k, 0), law.L + 1)
+            assert amr_module._ERLANG_ROWS[k].shape[0] == longest[k]
+    assert longest[3] > 100 and longest[6] > 100
 
 
 def test_amr_coop_random_ensemble_against_mc(table_qam4, rng):

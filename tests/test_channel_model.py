@@ -1,9 +1,11 @@
 import math
 import time
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaln
 from scipy.stats import expon, gamma as sgamma, kstest
@@ -20,7 +22,7 @@ from amrbeam import (
     mrc_law,
     wrap_phase,
 )
-from amrbeam.channel_model import log_gamma_range
+from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, log_gamma_range
 
 
 def test_wrap_phase_edges():
@@ -295,6 +297,68 @@ def test_mrc_law_matches_power_sum_recursion(gammas, tol):
         # can stop one series a term before the other
         assert abs(law.L - (ref.size - 1)) == 1
         assert abs(tails[n - 1] - tol) <= 1e-13
+
+
+def _term_by_term_law(gammas, tol):
+    """(coeffs, L, tail_bound) of the cascade advanced one term at a time over all users.
+
+    The reference for mrc_law's blocked cascade: each step runs every user's
+    recursion y_k[l] = y_{k-1}[l] + beta_k y_k[l-1] for one l, then adds the
+    mass to the running sum and stops once 1 minus it is below tol.
+    """
+    g = np.asarray(gammas, dtype=float)
+    gmin = float(g.min())
+    beta = [b for b in (1.0 - gmin / g).tolist() if b > 0.0]
+    c0 = float(np.exp(np.sum(np.log(gmin / g))))
+    coeffs = [c0]
+    y = [c0] * len(beta)
+    acc = c0
+    while 1.0 - acc >= tol:
+        if len(coeffs) > _MAX_SERIES_TERMS:
+            raise TruncationError(
+                f"gamma series needs more than {_MAX_SERIES_TERMS} terms to reach "
+                f"tail mass {tol} (extreme SNR disparity)"
+            )
+        y = list(accumulate(map(mul, beta, y)))
+        coeffs.append(y[-1])
+        acc += y[-1]
+    return np.asarray(coeffs), len(coeffs) - 1, max(1.0 - acc, 0.0)
+
+
+@st.composite
+def _cascade_inputs(draw):
+    """K in 1..32, spreads up to 100x (and a few that truncate), some users tied at the minimum."""
+    k = draw(st.integers(1, 32))
+    spread = draw(st.floats(1.0, 100.0) | st.sampled_from([1e3, 1e4]))
+    u = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    u[: draw(st.integers(0, k - 1))] = u.min()  # tied minima: beta = 0
+    return draw(st.floats(1e-3, 1e3)) * spread**u
+
+
+def _two_users_with_terms(l, tol):
+    """K = 2 gains whose series stops after exactly l + 1 masses at tol."""
+    b = tol ** (1.0 / (l + 0.5))  # the tail after l + 1 masses is b^(l+1)
+    return np.array([1.0, 1.0 / (1.0 - b)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gammas=_cascade_inputs(), tol=st.sampled_from([1e-10, 1e-12]))
+@example(gammas=_two_users_with_terms(5, 1e-10), tol=1e-10)
+@example(gammas=_two_users_with_terms(_CASCADE_BLOCK - 1, 1e-10), tol=1e-10)
+@example(gammas=_two_users_with_terms(_CASCADE_BLOCK, 1e-12), tol=1e-12)
+@example(gammas=_two_users_with_terms(_CASCADE_BLOCK + 1, 1e-10), tol=1e-10)
+@example(gammas=_two_users_with_terms(3 * _CASCADE_BLOCK + 7, 1e-12), tol=1e-12)
+def test_mrc_law_matches_term_by_term_cascade(gammas, tol):
+    try:
+        ref = _term_by_term_law(gammas, tol)
+    except TruncationError as ex:
+        with pytest.raises(TruncationError) as err:
+            mrc_law(gammas, tol)
+        assert str(err.value) == str(ex)
+        return
+    law = mrc_law(gammas, tol)
+    assert law.coeffs.tobytes() == ref[0].tobytes()
+    assert (law.L, law.tail_bound) == ref[1:]
 
 
 def test_mrc_law_large_series_is_fast():

@@ -211,6 +211,14 @@ def test_predicted_gap_that_overflows_is_inf(tmp_path):
     assert pred["cooperative"] == math.inf and math.isfinite(pred["non_cooperative"])
 
 
+def test_surrogate_gradient_that_overflows_is_a_runtime_error(capsys, tmp_path):
+    # at 1600 dB the weakest-user surrogate's squared value overflows a double
+    assert run(["evaluate", "--snr-db=1600", "--seed", "1", "--out", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["type"] == "runtime"
+    assert "composite-SNR" in report["error"]["message"] and "1600" in report["error"]["message"]
+
+
 def test_ga_seed_is_a_config_error(capsys, tiny_config, tmp_path):
     path = tmp_path / "ga_seed.json"
     path.write_text(json.dumps({**TINY, "ga": {**TINY["ga"], "seed": 5}}))

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from amrbeam import genetic_opt
 from amrbeam import (
     ChannelEnsemble,
     CompositeSnrObjective,
@@ -58,6 +61,37 @@ def test_elitism_monotone_and_deterministic(table_qam4):
     assert np.array_equal(r1.phases.thetas, r2.phases.thetas)
     assert np.all(r1.phases.thetas > -np.pi) and np.all(r1.phases.thetas <= np.pi)
     assert r1.metadata["selection"] == "tournament-3"
+
+
+def test_each_phase_vector_is_scored_once_per_pair_of_generations(monkeypatch, table_qam4):
+    e = make_ensemble(4, 5, 0.0, seed=12)
+    cfg = GaConfig(population=30, max_generations=12, seed=9)
+    generations = []  # per generation: its population and the rows scored
+
+    def counting(phases, ensemble, info):
+        # the caller is ga_optimize's evaluate, scoring the rows of `population`
+        population = inspect.currentframe().f_back.f_locals["population"]
+        if not generations or generations[-1][0] is not population:
+            generations.append((population, []))
+        generations[-1][1].append(phases.thetas.tobytes())
+        return fitness(phases, ensemble, info)
+
+    monkeypatch.setattr(genetic_opt, "fitness", counting)
+    res = ga_optimize(e, table_qam4, cfg)
+    assert len(generations) == res.generations == 12
+    calls = 0
+    last = set()
+    for g, (population, scored) in enumerate(generations):
+        calls += len(scored)
+        assert len(set(scored)) == len(scored)
+        assert not set(scored) & last
+        rows = [PhaseVector(row) for row in population]
+        last = {p.thetas.tobytes() for p in rows}
+        # every row still gets the fitness it would get if scored on its own
+        fits = [fitness(p, e, table_qam4) for p in rows]
+        assert res.best_per_generation[g] == max(fits)
+        assert res.mean_per_generation[g] == np.mean(fits)
+    assert calls < cfg.population * res.generations
 
 
 def test_ga_matches_manifold_optimum_rank_one(table_qam4, rng):
