@@ -335,14 +335,15 @@ class MrcLaw:
             shape = self.K + l
             with np.errstate(divide="ignore"):
                 logc = np.where(self.coeffs > 0.0, np.log(self.coeffs), -np.inf)
-            logt = (
-                logc[:, None]
-                + (shape[:, None] - 1.0) * np.log(xl)[None, :]
-                - xl[None, :] / self.gamma_min
-                - shape[:, None] * math.log(self.gamma_min)
-                - log_gamma_range(self.K, self.K + self.L + 1)[:, None]
-            )
-            out[pos] = np.exp(logt).sum(axis=0)
+            # one (L+1, x) array, built in place: each element gets the same
+            # terms in the same order as logc + (shape - 1) ln x - x / gamma_min
+            # - shape ln gamma_min - ln Gamma(shape), as addition commutes
+            logt = np.multiply.outer(shape - 1.0, np.log(xl))
+            logt += logc[:, None]
+            logt -= xl / self.gamma_min
+            logt -= (shape * math.log(self.gamma_min))[:, None]
+            logt -= log_gamma_range(self.K, self.K + self.L + 1)[:, None]
+            out[pos] = np.exp(logt, out=logt).sum(axis=0)
         if self.K == 1 and np.any(x == 0.0):
             out[x == 0.0] = self.coeffs[0] / self.gamma_min
         return float(out[0]) if scalar else out

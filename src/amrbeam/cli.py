@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -488,10 +489,13 @@ def cmd_asymptotics(runner: Runner) -> int:
         for snr_db in cfg.snr_db:
             ens = runner.ensemble.with_snr_db(snr_db)
             gammas = effective_snrs(ens, phases)
-            if scenario == "non_cooperative":
-                gap = gap_eval.noncoop(min_snr_law(gammas))
-            else:
-                gap = gap_eval.coop(mrc_law(gammas, 1e-12))
+            try:
+                if scenario == "non_cooperative":
+                    gap = gap_eval.noncoop(min_snr_law(gammas))
+                else:
+                    gap = gap_eval.coop(mrc_law(gammas, 1e-12))
+            except ValueError as ex:
+                raise ValueError(f"{scenario} saturation gap at {snr_db!r} dB: {ex}") from ex
             # the gap law itself: log2 M minus the asymptote cancels at small gaps
             pred = _gap_law(gain, ens.gamma_bar, diversity)
             gaps.append(gap)
@@ -579,15 +583,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--mc-samples", type=int, default=None)
         p.add_argument("--snr-db", default=None,
-                       help="start:stop:step range or comma list, overrides config")
+                       help="start:stop:step range or comma list, overrides config; a "
+                            "negative value may follow a space (--snr-db -30:10:5) or "
+                            "'=' (--snr-db=-10,0,10)")
         p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
         p.add_argument("--optimizer", action="append", choices=OPTIMIZERS, default=None,
                        help="repeatable; overrides the config optimizer list")
     return parser
 
 
+def _joined_snr_db(argv: list) -> list:
+    """``argv`` with each ``--snr-db`` and a following negative value as one token.
+
+    argparse reads a token that starts with '-' as an option unless it is one
+    plain negative number, so it refuses ``--snr-db -10,0,10`` and
+    ``--snr-db -30:10:5``; ``--snr-db=-10,0,10`` is the same value in one token.
+    The prefixes that argparse takes for the option, from ``--sn``, join too.
+    """
+    out = []
+    for arg in argv:
+        if (out and len(out[-1]) >= 4 and "--snr-db".startswith(out[-1])
+                and re.match(r"-[\d.]", arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_snr_db(sys.argv[1:] if argv is None else list(argv)))
     try:
         raw = {}
         if args.config:

@@ -265,6 +265,25 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rng):
         assert abs(gap_eval.coop(law) + amr_coop(info, law) - qam4.bits) < 1e-9
 
 
+def test_saturation_gap_refuses_a_density_narrower_than_half_its_first_panel(qam4):
+    # at that scale the gap still follows the linear low-SNR law
+    # log2 M - E[x] / ln 2, which holds to within rounding there; at a tenth
+    # of the panel's edge it is off by 1.6e-8 relative
+    gap_eval = SaturationGap(qam4, 40)
+    g = gap_eval.min_scale
+    assert g == 0.5 * amr_module._mellin_panels(qam4.d_min)[1]
+    assert abs(gap_eval.noncoop(g) - (qam4.bits - g / math.log(2.0))) <= 1e-12 * qam4.bits
+    for k in (1, 4, 32):
+        gs = g * np.linspace(1.0, 3.0, k)
+        gap = gap_eval.coop(mrc_law(gs, 1e-13))
+        assert abs(gap - (qam4.bits - gs.sum() / math.log(2.0))) <= 1e-12 * qam4.bits, k
+    below = np.nextafter(g, 0.0)
+    with pytest.raises(ValueError, match="first saturation-gap panel"):
+        gap_eval.noncoop(below)
+    with pytest.raises(ValueError, match="first saturation-gap panel"):
+        gap_eval.coop(mrc_law([below, 2.0 * below]))
+
+
 def test_saturation_gap_matches_panels_four_times_as_dense():
     # reference: g = log2 M - mi on the node set's panels split 4x; beyond
     # x_hi, g < 1e-30 and both leave it out. The 128 x 16 log panels that

@@ -528,8 +528,13 @@ def test_batched_pass_is_bitwise_the_per_snr_sums_across_orders_and_chunks(monke
         chunks.append(nodes.shape[1])
         return term(sent, alphabet, g, nodes, *rest)
 
+    production = channel_info._kernel_pass(c, gammas, 40, 200)
+    # a 4-QAM chunk of the production size spans a whole run; at 4096 doubles
+    # the chunk boundaries fall inside the runs of every alphabet here
+    monkeypatch.setattr(channel_info, "_CHUNK_DOUBLES", 4096)
     monkeypatch.setattr(channel_info, "_fused_terms", recording)
     mi, mm = channel_info._kernel_pass(c, gammas, 40, 200)
+    assert np.array_equal(production[0], mi) and np.array_equal(production[1], mm)
     # a chunk boundary falls inside a run of each order, on every block
     blocks = _blocks(c.points.tobytes(), c.d_min)
     runs = Counter(key for key, _ in itertools.groupby(
@@ -650,7 +655,7 @@ def test_node_set_pass_is_batched_and_bounded_in_memory(monkeypatch, qam4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one call per SNR and block would be 2 * 1378 = 2756; chunks make 338
+    # one call per SNR and block would be 2 * 1378 = 2756; chunks make 80
     assert sum(calls) == 2 * args[1].size
     assert len(calls) <= 400
     # the work buffer, the chunk's error terms and the (1378,) results

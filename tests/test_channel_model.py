@@ -22,7 +22,7 @@ from amrbeam import (
     mrc_law,
     wrap_phase,
 )
-from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, log_gamma_range
+from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, MrcLaw, log_gamma_range
 
 
 def test_wrap_phase_edges():
@@ -359,6 +359,44 @@ def test_mrc_law_matches_term_by_term_cascade(gammas, tol):
     law = mrc_law(gammas, tol)
     assert law.coeffs.tobytes() == ref[0].tobytes()
     assert (law.L, law.tail_bound) == ref[1:]
+
+
+def _pdf_out_of_place(law, x):
+    """MrcLaw.pdf as one out-of-place expression over (L+1, x) temporaries: the reference."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    if pos.any():
+        xl = x[pos]
+        shape = law.K + np.arange(law.L + 1)
+        with np.errstate(divide="ignore"):
+            logc = np.where(law.coeffs > 0.0, np.log(law.coeffs), -np.inf)
+        logt = (
+            logc[:, None]
+            + (shape[:, None] - 1.0) * np.log(xl)[None, :]
+            - xl[None, :] / law.gamma_min
+            - shape[:, None] * math.log(law.gamma_min)
+            - log_gamma_range(law.K, law.K + law.L + 1)[:, None]
+        )
+        out[pos] = np.exp(logt).sum(axis=0)
+    if law.K == 1 and np.any(x == 0.0):
+        out[x == 0.0] = law.coeffs[0] / law.gamma_min
+    return out
+
+
+def test_mrc_law_pdf_is_bitwise_the_out_of_place_expression():
+    xs = np.concatenate([[-3.0, -1e-300, 0.0, 5e-324, 1e-12], np.geomspace(1e-8, 1e4, 400),
+                         np.linspace(0.1, 80.0, 300), [-0.5, 0.0, 1e300]])
+    laws = [mrc_law([1.7]), mrc_law([2.0, 2.0, 2.0]), mrc_law([0.3, 1.0, 2.5, 4.0]),
+            mrc_law(100.0 ** (np.arange(16) / 15), 1e-10)]
+    # a mass that underflowed to 0 takes ln 0 = -inf
+    laws.append(MrcLaw(np.array([1.0, 2.0]), 1.0, 2, 0.0, np.array([0.5, 0.0, 0.5])))
+    assert laws[0].L == laws[1].L == 0 and 0 < laws[2].L < 2000 < laws[3].L
+    for law in laws:
+        assert law.pdf(xs).tobytes() == _pdf_out_of_place(law, xs).tobytes(), law.L
+        for x in (-1.0, 0.0, 2.5):
+            assert law.pdf(x) == _pdf_out_of_place(law, x)[0]
+    assert laws[0].pdf(0.0) == laws[0].coeffs[0] / 1.7 and laws[1].pdf(0.0) == 0.0
 
 
 def test_mrc_law_large_series_is_fast():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from amrbeam import amr, channel_info
-from amrbeam.cli import ConfigError, ExperimentConfig, parse_snr, run
+from amrbeam.cli import SCENARIOS, ConfigError, ExperimentConfig, parse_snr, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -203,12 +203,41 @@ def test_predicted_gap_is_the_gap_law_where_the_gap_is_below_rounding(tmp_path):
 
 
 def test_predicted_gap_that_overflows_is_inf(tmp_path):
-    # at -1000 dB, (d * gamma_bar)^-4 overflows a double: the row says inf, the run goes on
-    assert run(["asymptotics", "--snr-db=-1000", "--seed", "1", "--out", str(tmp_path)]) == 0
-    _, header, rows = _read_csv(tmp_path / "gaps.csv")
-    pred = {r.split(",")[0]: float(dict(zip(header, r.split(",")))["predicted_gap_bits"])
-            for r in rows}
-    assert pred["cooperative"] == math.inf and math.isfinite(pred["non_cooperative"])
+    # at -1000 dB, (d * gamma_bar)^-4 overflows a double: the cooperative
+    # asymptote log2 M - gap says -inf, the run goes on
+    assert run(["evaluate", "--snr-db=-1000", "--seed", "1", "--out", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "amr_table.csv")
+    for row in (dict(zip(header, r.split(","))) for r in rows):
+        asymptote = float(row["asymptote_bits"])
+        assert asymptote == -math.inf if row["scenario"] == "cooperative" else math.isfinite(asymptote)
+
+
+@pytest.mark.parametrize("scenario", ["noncoop", "coop"])
+def test_asymptotics_refuses_an_snr_below_the_resolved_range(capsys, tmp_path, scenario):
+    # default config: the saturation gap resolves the SNR density down to
+    # -70 dB here; below, it fell towards 0 (or above log2 M) with exit 0
+    assert run(["asymptotics", "--snr-db=-120:-30:10", "--scenario", scenario, "--seed", "1",
+                "--out", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().err)["error"]
+    assert report["type"] == "runtime"
+    assert f"{SCENARIOS[scenario][0]} saturation gap at -120.0 dB" in report["message"]
+    assert not (tmp_path / "gaps.csv").exists()
+    assert run(["asymptotics", "--snr-db=-70:-30:10", "--scenario", scenario, "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("snr", ["-10,0,10", "-30:10:5", "-7.5"])
+def test_negative_snr_list_may_follow_a_space(tiny_config, tmp_path, snr):
+    # argparse reads "-10,0,10" as an option unless it follows "--snr-db="
+    forms = {"space": ["--snr-db", snr], "prefix": ["--snr", snr], "equals": [f"--snr-db={snr}"]}
+    for form, args in forms.items():
+        assert run(["asymptotics", *args, "--config", tiny_config, "--seed", "1",
+                    "--out", str(tmp_path / form)]) == 0
+    space = (tmp_path / "space" / "gaps.csv").read_bytes()
+    assert space == (tmp_path / "prefix" / "gaps.csv").read_bytes()
+    assert space == (tmp_path / "equals" / "gaps.csv").read_bytes()
+    meta, _, _ = _read_csv(tmp_path / "space" / "gaps.csv")
+    assert meta["config"]["snr_db"] == parse_snr(snr)
 
 
 def test_surrogate_gradient_that_overflows_is_a_runtime_error(capsys, tmp_path):
@@ -331,13 +360,15 @@ def test_cli_run_path_loads_no_scipy(tiny_config, tmp_path):
         "    code = run(args + ['--config', cfg, '--seed', '1', '--out', out + '/' + args[0]])",
         "    assert code == 0 or (args[0] == 'validate' and code == 1), (args, code)",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        # numpy 2 imports numpy.ma lazily, for np.unique among others
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
     for name in ("evaluate/amr_table.csv", "asymptotics/gaps.csv", "validate/validation.csv",
                  "convergence/trace_ga.csv"):
         assert (tmp_path / name).is_file()
