@@ -15,11 +15,11 @@ order G = 1 (non-cooperative) or K (cooperative). The beamformer enters only
 through the array gain d, a plain number built from a Mellin moment of the
 MMSE curve and the beamforming gains f^H R_k f (array_gain_*).
 The Mellin moments and the saturation gap share the package's one node set
-per alphabet and Hermite order (_mellin_nodes): composite Gauss-Legendre
-panels plus a Gauss-Laguerre far tail. One kernel pass over all of it gives
-the MMSE (through mmse_curve) and the MI (through mi_curve on the same array,
-which reuses that pass), so each moment order t and each gap is a weighted
-sum over the same values (see mellin_mmse and SaturationGap).
+per alphabet (_mellin_nodes): composite Gauss-Legendre panels plus a
+Gauss-Laguerre far tail. One kernel pass over all of it gives the MMSE
+(through mmse_curve) and the MI (through mi_curve on the same array, which
+reuses that pass), so each moment order t and each gap is a weighted sum
+over the same values (see mellin_mmse and SaturationGap).
 
 All functions are pure over immutable inputs and safe for parallel sweeps.
 """
@@ -27,6 +27,7 @@ All functions are pure over immutable inputs and safe for parallel sweeps.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,7 +123,9 @@ _MELLIN_RTOL = 1e-8
 # Gauss-Laguerre orders of the Mellin far tail and of its self-check
 _TAIL_ORDER = 150
 _TAIL_CHECK_ORDER = 100
-# (hermite order, alphabet) -> the node set, see _mellin_nodes
+# ln of the largest double: math.exp of anything larger overflows
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# alphabet -> the node set, see _mellin_nodes
 _MELLIN_NODES: dict = {}
 
 
@@ -146,8 +149,8 @@ def _mellin_panels(d_min: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
-    """The package's one node set per alphabet and Hermite order, built once.
+def _mellin_nodes(c: Constellation) -> SimpleNamespace:
+    """The package's one node set per alphabet, built once.
 
     Holds the (panels, 8) Gauss-Legendre nodes ``x`` of _mellin_panels, the
     panel half-widths ``half``, the same rule flat (``nodes``, ``weights``),
@@ -156,7 +159,7 @@ def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
     comes from one mmse_curve call over all the points; mi_curve on the same
     array then reads the MI from that kernel pass.
     """
-    key = (hermite_order, c.points.tobytes())
+    key = c.points.tobytes()
     if key not in _MELLIN_NODES:
         edges = _mellin_panels(c.d_min)
         half = 0.5 * np.diff(edges)
@@ -165,8 +168,8 @@ def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
         rules = [gauss_laguerre(n) for n in (_TAIL_ORDER, _TAIL_CHECK_ORDER)]
         far = [edges[-1] + rule.nodes / alpha for rule in rules]
         points = np.concatenate([x.ravel(), *far])
-        vals = np.split(mmse_curve(c, points, hermite_order), np.cumsum([x.size, far[0].size]))
-        gap = np.maximum(c.bits - mi_curve(c, points, hermite_order)[: x.size], 0.0)
+        vals = np.split(mmse_curve(c, points), np.cumsum([x.size, far[0].size]))
+        gap = np.maximum(c.bits - mi_curve(c, points)[: x.size], 0.0)
         with np.errstate(divide="ignore"):  # an underflowed mmse gives -inf, a zero term
             tails = tuple((np.log(xf), np.log(rule.weights) + rule.nodes + np.log(v) - math.log(alpha))
                           for rule, xf, v in zip(rules, far, vals[1:]))
@@ -177,16 +180,18 @@ def _mellin_nodes(c: Constellation, hermite_order: int) -> SimpleNamespace:
 
 
 def _far_tail(t: float, log_x: np.ndarray, log_rest: np.ndarray) -> float:
-    """int_{x_hi}^inf x^(t-1) mmse(x) dx, summed in log space."""
+    """int_{x_hi}^inf x^(t-1) mmse(x) dx, summed in log space; inf past the double range."""
     log_terms = log_rest + (t - 1.0) * log_x
     finite = log_terms[np.isfinite(log_terms)]
     if finite.size == 0:
         return 0.0
     shift = finite.max()
+    if shift > _LOG_DOUBLE_MAX:
+        return math.inf
     return math.exp(shift) * float(np.exp(finite - shift).sum())
 
 
-def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
+def mellin_mmse(c: Constellation, t: float) -> float:
     """Mellin moment int_0^inf x^(t-1) mmse(x) dx of the bit-convention MMSE, t >= 1.
 
     With alpha = d_min^2 / 8 (the MMSE decays like e^{-2 alpha x}), the head
@@ -196,10 +201,9 @@ def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     wider than 0.5 / alpha. Beyond x_hi a Gauss-Laguerre rule under
     x = x_hi + u / alpha integrates the tail. That is 140-141 panels
     (1120-1128 nodes) and 250 tail nodes for any QAM or PSK, tabulated in
-    one kernel pass per alphabet and Hermite order and cached, so each t
-    is one weighted sum. Against panels 4x as dense the head agrees to
-    1.8e-13 relative for t from 1 to 41 on BPSK, 4-, 16-, 64- and 256-QAM,
-    8- and 16-PSK.
+    one kernel pass per alphabet and cached, so each t is one weighted sum.
+    Against panels 4x as dense the head agrees to 1.8e-13 relative for t
+    from 1 to 41 on BPSK, 4-, 16-, 64- and 256-QAM, 8- and 16-PSK.
 
     Two self-checks cost no kernel calls. Per panel, the integrand's top
     Legendre coefficients, extrapolated along their decay, estimate the
@@ -207,15 +211,26 @@ def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     the moment on the alphabets above, and with panels 8x coarser the check
     rejects every t from 1 to 41 there but t = 16 on 16-PSK. The tail is
     recomputed with the order-100 rule.
-    Raises RuntimeError when either misses the 1e-8 relative target, and
-    ValueError for t < 1, where x^(t-1) is singular at 0.
+    Raises RuntimeError when either misses the 1e-8 relative target or the
+    moment or its far tail leaves the double range (64-QAM from t = 91,
+    256-QAM from t = 77, 4-QAM from t = 146), and ValueError for t < 1,
+    where x^(t-1) is singular at 0.
     """
     if not t >= 1.0:
         raise ValueError(f"mellin order must be >= 1, got {t}")
-    nodes = _mellin_nodes(c, hermite_order)
+    nodes = _mellin_nodes(c)
     half = nodes.half
-    f = nodes.x ** (t - 1.0) * nodes.mmse
-    head = float(half @ (f @ _GL_WEIGHTS))
+    # past the double range x^(t-1) overflows, and inf * 0 is nan: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = nodes.x ** (t - 1.0) * nodes.mmse
+        head = float(half @ (f @ _GL_WEIGHTS))
+    far, far_check = (_far_tail(t, *tail) for tail in nodes.tails)
+    total = head + far
+    if not (math.isfinite(total) and math.isfinite(far_check)):
+        raise RuntimeError(
+            f"mellin moment at t={t} of {c.label} leaves the double range: head {head!r}, "
+            f"far tail {far!r} vs {far_check!r}"
+        )
     coef = np.abs(f @ _GL_TO_LEGENDRE)
     top = coef[:, 6] + coef[:, 7]
     # a_k ~ rho^-k: a_2, a_3 -> a_6, a_7 is rho^-4, and a_7 -> a_16, which
@@ -223,10 +238,9 @@ def mellin_mmse(c: Constellation, t: float, hermite_order: int = 40) -> float:
     decay = np.minimum(top / np.maximum(coef[:, 2] + coef[:, 3], np.finfo(float).tiny), 1.0)
     head_err = float(half @ (top * decay**2.25))
 
-    far, far_check = (_far_tail(t, *tail) for tail in nodes.tails)
-    total = head + far
     budget = _MELLIN_RTOL * max(abs(total), 1e-300)
-    if abs(far - far_check) > budget + 1e-13 or head_err > budget:
+    # written to fail on nan
+    if not (abs(far - far_check) <= budget + 1e-13 and head_err <= budget):
         raise RuntimeError(
             f"mellin quadrature not converged at t={t}: far tail {far!r} vs {far_check!r}, "
             f"panel error estimate {head_err!r} against total {total!r}"
@@ -284,8 +298,8 @@ class SaturationGap:
     most 5.1e-13, the size of the sum's series truncation.
     """
 
-    def __init__(self, constellation: Constellation, hermite_order: int = 40):
-        nodes = _mellin_nodes(constellation, hermite_order)
+    def __init__(self, constellation: Constellation):
+        nodes = _mellin_nodes(constellation)
         self.nodes, self.weights, self.gap_values = nodes.nodes, nodes.weights, nodes.gap
         # the first panel is [0, 2 half[0]]
         self.min_scale = float(nodes.half[0])

@@ -68,18 +68,19 @@ thread count either.
 Both sums come from that one exponent array: the log-partition sum of the MI
 and, after normalizing the same array into the posterior, the error sum of the
 MMSE. One kernel pass over an SNR array therefore yields both curves, and
-mi_curve and mmse_curve are views on it. The last pass is kept,
-keyed by the alphabet, the SNRs and the orders, so asking for the other curve
-on the same array costs no kernel work; each call returns a fresh copy.
+mi_curve and mmse_curve are views on it. The last pass is kept, keyed by the
+alphabet, the SNRs and the band order, so asking for the other curve on the
+same array costs no kernel work; each call returns a fresh copy.
 
 Grid points of an InfoTable are mutually independent, so table construction
 parallelizes trivially; tables are immutable once built.
 
-For g * d_min^2 in _BAND, (1.5, 130), the integrand develops decision-boundary
-layers of width ~ 1/(sqrt(g) d_min) that a fixed-order rule under-resolves, so
-the evaluators silently raise the effective order there (never lowering the
-requested one, capped at 200). Outside the band the boundary contributions are
-below double precision and the requested order is used as-is.
+The Gauss-Hermite order is a constant of this module, _HERMITE_ORDER (40),
+not a parameter of the evaluators. For g * d_min^2 in _BAND, (1.5, 130), the
+integrand develops decision-boundary layers of width ~ 1/(sqrt(g) d_min) that
+a fixed-order rule under-resolves, so there the evaluators use the band order
+instead (120 by default, 200 for tables). Outside the band the boundary
+contributions are below double precision and _HERMITE_ORDER is used as-is.
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ _BAND = (1.5, 130.0)
 
 # In band, the 2-D rules keep only the nodes of at least this tensor weight
 _WEIGHT_FLOOR = 1e-40
+
+# Gauss-Hermite order of the rules outside the band
+_HERMITE_ORDER = 40
 
 
 @lru_cache(maxsize=32)
@@ -326,37 +330,35 @@ def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_
 _LAST_PASS: dict = {}
 
 
-def _curves(c: Constellation, gammas, hermite_order: int, *, band_order: int):
+def _curves(c: Constellation, gammas, *, band_order: int):
     """(mi, mmse) at ``gammas``, from the last pass when it ran on the same inputs."""
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     if gammas.ndim > 1:
         raise ValueError(f"snr values must be a scalar or a 1-D array, got shape {gammas.shape}")
     if not np.all((gammas >= 0.0) & (gammas < math.inf)):
         raise ValueError("snr values must be finite and >= 0")
-    if not 10 <= hermite_order <= 200:
-        raise ValueError(f"hermite_order must be in [10, 200], got {hermite_order}")
-    key = (c.points.tobytes(), gammas.tobytes(), hermite_order, band_order)
+    key = (c.points.tobytes(), gammas.tobytes(), band_order)
     if key not in _LAST_PASS:
         _LAST_PASS.clear()
-        _LAST_PASS[key] = _kernel_pass(c, gammas, hermite_order, band_order)
+        _LAST_PASS[key] = _kernel_pass(c, gammas, _HERMITE_ORDER, band_order)
     return _LAST_PASS[key]
 
 
-def mi_curve(c: Constellation, gammas, hermite_order: int = 40, *, band_order: int = 120) -> np.ndarray:
+def mi_curve(c: Constellation, gammas, *, band_order: int = 120) -> np.ndarray:
     """Mutual information in bits at each SNR of ``gammas`` (linear, >= 0).
 
     ``band_order`` sets the boundary-layer escalation target; raise it when
     downstream consumers integrate the values to below ~1e-7 absolute.
     """
-    return _curves(c, gammas, hermite_order, band_order=band_order)[0].copy()
+    return _curves(c, gammas, band_order=band_order)[0].copy()
 
 
-def mmse_curve(c: Constellation, gammas, hermite_order: int = 40, *, band_order: int = 120) -> np.ndarray:
+def mmse_curve(c: Constellation, gammas, *, band_order: int = 120) -> np.ndarray:
     """Bit-convention MMSE (conditional error / ln 2) at each SNR of ``gammas``.
 
     Underflows to 0.0 once the error drops below double precision.
     """
-    return _curves(c, gammas, hermite_order, band_order=band_order)[1].copy()
+    return _curves(c, gammas, band_order=band_order)[1].copy()
 
 
 @dataclass(eq=False)
@@ -428,13 +430,7 @@ class InfoTable:
         return float(out[0]) if scalar else out
 
 
-def build_table(
-    c: Constellation,
-    db_min: float,
-    db_max: float,
-    points_per_decade: int,
-    hermite_order: int = 40,
-) -> InfoTable:
+def build_table(c: Constellation, db_min: float, db_max: float, points_per_decade: int) -> InfoTable:
     """Tabulate both curves on a log-spaced SNR grid.
 
     The grid spans [db_min, db_max] with points_per_decade points per 10 dB.
@@ -450,8 +446,8 @@ def build_table(
     snr = 10.0 ** (grid_db / 10.0)
 
     # one kernel pass: mmse_curve reads the pass that mi_curve just made
-    mi = mi_curve(c, snr, hermite_order, band_order=200)
-    mm = mmse_curve(c, snr, hermite_order, band_order=200)
+    mi = mi_curve(c, snr, band_order=200)
+    mm = mmse_curve(c, snr, band_order=200)
     # guard fp wiggle so the stored curves satisfy the monotonicity contract
     mi = np.maximum.accumulate(np.clip(mi, 0.0, c.bits))
     mm = np.minimum.accumulate(np.maximum(mm, _MMSE_FLOOR))
@@ -466,12 +462,11 @@ class DirectInfo:
     small high-SNR gaps.
     """
 
-    def __init__(self, constellation: Constellation, hermite_order: int = 40):
+    def __init__(self, constellation: Constellation):
         self.constellation = constellation
-        self.hermite_order = hermite_order
 
     def mi(self, gamma):
         g = np.asarray(gamma, dtype=float)
         scalar = g.ndim == 0
-        vals = mi_curve(self.constellation, g, self.hermite_order)
+        vals = mi_curve(self.constellation, g)
         return float(vals[0]) if scalar else vals

@@ -55,24 +55,10 @@ _MAX_SERIES_TERMS = 10_000
 # per-block cost, short enough that the terms computed past the stop stay few.
 _CASCADE_BLOCK = 32
 
-# ln Gamma(n) at integer n, indexed by n; Gamma has a pole at 0. Grown on demand.
-_LOG_GAMMA = np.array([math.inf])
-_LOG_GAMMA.flags.writeable = False
-
 
 def log_gamma_range(start: int, stop: int) -> np.ndarray:
-    """ln Gamma(n) for the integers start <= n < stop, as a read-only view.
-
-    The values come from a table filled with math.lgamma and doubled whenever a
-    larger argument is asked for, so a call is one slice of a cached array.
-    """
-    global _LOG_GAMMA
-    size = _LOG_GAMMA.size
-    if stop > size:
-        grown = np.concatenate((_LOG_GAMMA, [math.lgamma(n) for n in range(size, max(stop, 2 * size))]))
-        grown.flags.writeable = False
-        _LOG_GAMMA = grown
-    return _LOG_GAMMA[start:stop]
+    """ln Gamma(n) for the integers 1 <= start <= n < stop, from math.lgamma."""
+    return np.array([math.lgamma(n) for n in range(start, stop)])
 
 
 class NulledUserError(ValueError):

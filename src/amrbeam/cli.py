@@ -8,12 +8,12 @@ invocations produce identical files.
 
 The JSON config describes the experiment. Its fields, all optional, are
 constellation.{kind,order}, K, N, correlation.{model,rho,spread,seed}, snr_db,
-scenario, optimizers, mc_samples, hermite_order,
-table.{db_min,db_max,points_per_decade} and ga.{population,max_generations};
-any other key (ga.seed too: the GA takes the run seed) is a config error. The
-numerical constants live where they are read: genetic_opt, manifold_opt, amr
-(the 50-node Laguerre rule of the rate averages) and the slope fit's
-_GAP_WINDOWS.
+scenario, optimizers, mc_samples, table.{db_min,db_max,points_per_decade} and
+ga.{population,max_generations}; any other key (ga.seed too: the GA takes the
+run seed) is a config error. The numerical constants live where they are
+read: genetic_opt, manifold_opt, amr (the 50-node Laguerre rule of the rate
+averages), channel_info (the Gauss-Hermite order of the MI/MMSE kernel) and
+the slope fit's _GAP_WINDOWS.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ _SCALARS = {
     "correlation.spread": ("corr_spread", float),
     "correlation.seed": ("corr_seed", int),
     "scenario": ("scenario", str),
-    "hermite_order": ("hermite_order", int),
     "table.db_min": ("table_db_min", float),
     "table.db_max": ("table_db_max", float),
     "table.points_per_decade": ("table_points_per_decade", int),
@@ -130,7 +129,6 @@ class ExperimentConfig:
     snr_db: list = field(default_factory=lambda: [-30.0, -20.0, -10.0, 0.0, 10.0])
     scenario: str = "both"
     optimizers: list = field(default_factory=lambda: ["rmcgd-f1", "rmcgd-f2", "random"])
-    hermite_order: int = 40
     table_db_min: float = -40.0
     table_db_max: float = 40.0
     table_points_per_decade: int = 40
@@ -183,7 +181,6 @@ class ExperimentConfig:
             _require(opt in OPTIMIZERS, "optimizers", f"unknown optimizer {opt!r}")
         _require(len(cfg.optimizers) > 0, "optimizers", "need at least one optimizer")
 
-        _require(10 <= cfg.hermite_order <= 200, "hermite_order", "must be in [10, 200]")
         _require(cfg.table_db_min < cfg.table_db_max, "table.db_min", "must be < table.db_max")
         _require(cfg.table_points_per_decade >= 10, "table.points_per_decade", "must be >= 10")
         _require(cfg.mc_samples == 0 or cfg.mc_samples >= 10_000,
@@ -276,7 +273,6 @@ class Runner:
             rho=cfg.corr_rho, spread=cfg.corr_spread,
         )
         self._table = None
-        self._mellin = {}
 
     @property
     def table(self):
@@ -286,14 +282,8 @@ class Runner:
                 self.cfg.table_db_min,
                 self.cfg.table_db_max,
                 self.cfg.table_points_per_decade,
-                self.cfg.hermite_order,
             )
         return self._table
-
-    def mellin(self, t: float) -> float:
-        if t not in self._mellin:
-            self._mellin[t] = mellin_mmse(self.constellation, t, self.cfg.hermite_order)
-        return self._mellin[t]
 
     def metadata(self, extra: dict | None = None) -> dict:
         md = {
@@ -344,8 +334,8 @@ class Runner:
     def array_gain(self, scenario: str, phases: PhaseVector) -> float:
         """Array gain d of the high-SNR law; it depends on the phases, not the SNR."""
         if scenario == "non_cooperative":
-            return array_gain_noncoop(self.ensemble, phases, self.mellin(2.0))
-        return array_gain_coop(self.ensemble, phases, self.mellin(self.cfg.k + 1.0))
+            return array_gain_noncoop(self.ensemble, phases, mellin_mmse(self.constellation, 2.0))
+        return array_gain_coop(self.ensemble, phases, mellin_mmse(self.constellation, self.cfg.k + 1.0))
 
 
 def _seed_for(base: int, *parts: int) -> int:
@@ -476,7 +466,7 @@ def cmd_asymptotics(runner: Runner) -> int:
     for the phases.
     """
     cfg = runner.cfg
-    gap_eval = SaturationGap(runner.constellation, cfg.hermite_order)
+    gap_eval = SaturationGap(runner.constellation)
     rows = []
     slopes = {}
     for scenario in SCENARIOS[cfg.scenario]:

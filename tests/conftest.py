@@ -24,7 +24,7 @@ def qam16():
 @pytest.fixture(scope="session")
 def table_qam4(qam4):
     """Workhorse table: dense enough for the 1e-8 quadrature contracts."""
-    return build_table(qam4, -40.0, 40.0, 40, 40)
+    return build_table(qam4, -40.0, 40.0, 40)
 
 
 @pytest.fixture()

@@ -161,7 +161,7 @@ def test_saturation_ceiling(table_qam4, rng):
 def test_mellin_against_trapezoid_oracle(qam4):
     val = mellin_mmse(qam4, 2)
     xs = np.logspace(-6, math.log10(200), 10**4)
-    oracle = np.trapezoid(xs * mmse_curve(qam4, xs, 40), xs)
+    oracle = np.trapezoid(xs * mmse_curve(qam4, xs), xs)
     assert val > 0.0 and math.isfinite(val)
     assert abs(val - oracle) < 1e-6 * oracle
 
@@ -187,7 +187,7 @@ def test_mellin_matches_panels_four_times_as_dense(kind, order):
     xg, wg = np.polynomial.legendre.leggauss(8)
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * xg
-    m = mmse_curve(c, x.ravel(), 40).reshape(x.shape)
+    m = mmse_curve(c, x.ravel()).reshape(x.shape)
     for t in (2, 3, 5):
         # beyond the last edge lies less than 1e-24 of the moment for t <= 5
         ref = float(np.sum(half * wg * x ** (t - 1.0) * m))
@@ -219,6 +219,16 @@ def test_mellin_self_check_rejects_a_coarse_node_set(monkeypatch, qam4, bpsk):
             mellin_mmse(c, 2)
 
 
+def test_mellin_refuses_a_moment_past_the_double_range():
+    c = make_qam(64)
+    # the last finite integer order keeps its value bit for bit
+    assert mellin_mmse(c, 90) == 2.559025749671815e+278
+    # at t = 95 x^(t-1) overflows on the panels, at t = 100 the far tail too
+    for t in (95, 100):
+        with pytest.raises(RuntimeError, match=f"t={t} of {c.label} leaves the double range"):
+            mellin_mmse(c, t)
+
+
 def test_asymptote_noncoop_identity_ensembles(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
     k = 4
@@ -241,7 +251,7 @@ def test_asymptote_noncoop_identity_ensembles(qam4, rng):
 def test_asymptote_noncoop_gap_prediction(qam4, rng):
     # evaluated saturation gap at 40 dB within 10% of 1/(d gbar)
     m2 = mellin_mmse(qam4, 2)
-    gap_eval = SaturationGap(qam4, 40)
+    gap_eval = SaturationGap(qam4)
     e = make_ensemble(4, 5, 40.0, seed=5)
     p = PhaseVector.random(5, rng)
     gap = gap_eval.noncoop(min_snr_law(effective_snrs(e, p)))
@@ -253,8 +263,8 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rng):
     # rate + gap = log2 M; at low SNR the Laguerre rate resolves the SNR
     # density at any scale, so it checks the gap where that density is far
     # narrower than 1
-    gap_eval = SaturationGap(qam4, 40)
-    info = DirectInfo(qam4, 40)
+    gap_eval = SaturationGap(qam4)
+    info = DirectInfo(qam4)
     e = make_ensemble(4, 5, 0.0, seed=9)
     p = PhaseVector.random(5, rng)
     for snr_db in np.arange(-40.0, -9.0, 5.0):
@@ -269,7 +279,7 @@ def test_saturation_gap_refuses_a_density_narrower_than_half_its_first_panel(qam
     # at that scale the gap still follows the linear low-SNR law
     # log2 M - E[x] / ln 2, which holds to within rounding there; at a tenth
     # of the panel's edge it is off by 1.6e-8 relative
-    gap_eval = SaturationGap(qam4, 40)
+    gap_eval = SaturationGap(qam4)
     g = gap_eval.min_scale
     assert g == 0.5 * amr_module._mellin_panels(qam4.d_min)[1]
     assert abs(gap_eval.noncoop(g) - (qam4.bits - g / math.log(2.0))) <= 1e-12 * qam4.bits
@@ -299,8 +309,8 @@ def test_saturation_gap_matches_panels_four_times_as_dense():
         half = 0.5 * np.diff(edges)[:, None]
         x = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * xg).ravel()
         w = (half * wg).ravel()
-        g = np.maximum(c.bits - DirectInfo(c, 40).mi(x), 0.0)
-        gap_eval = SaturationGap(c, 40)
+        g = np.maximum(c.bits - DirectInfo(c).mi(x), 0.0)
+        gap_eval = SaturationGap(c)
         for k in (4, 16, 32):
             e = make_ensemble(k, 8, 0.0, seed=k)
             p = PhaseVector.random(8, np.random.default_rng(k))
@@ -329,7 +339,7 @@ def test_one_tabulation_per_alphabet(monkeypatch, tmp_path, qam4):
     # the node set's MMSE and gap come from one pass; asymptotics builds no table
     assert run(["asymptotics", "--seed", "1", "--out", str(tmp_path)]) == 0
     assert len(passes) == 1
-    SaturationGap(qam4, 40)
+    SaturationGap(qam4)
     mellin_mmse(qam4, 7)
     assert len(passes) == 1
     # evaluate: one pass for the table, one for the rebuilt node set; the
@@ -362,7 +372,7 @@ def test_asymptote_coop_equal_unit_forms(qam4):
 def test_asymptote_coop_slope(qam4, rng):
     # log-log decay of the cooperative gap approaches -K
     k = 4
-    gap_eval = SaturationGap(qam4, 40)
+    gap_eval = SaturationGap(qam4)
     e = make_ensemble(k, 5, 0.0, seed=9)
     p = PhaseVector.random(5, rng)
     gbars, gaps = [], []

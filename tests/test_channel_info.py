@@ -56,36 +56,36 @@ BPSK_G1_MC_3SE = 3 * 1.5125128116006957e-4
 
 
 def test_mi_zero_snr(qam4):
-    assert mi_curve(qam4, 0.0, 40)[0] == pytest.approx(0.0, abs=1e-10)
+    assert mi_curve(qam4, 0.0)[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mi_saturates(qam4):
-    assert mi_curve(qam4, 1e6, 60)[0] == pytest.approx(2.0, abs=1e-6)
+    assert mi_curve(qam4, 1e6)[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_mi_bpsk_matches_mc_oracle(bpsk):
-    assert abs(mi_curve(bpsk, 1.0, 60)[0] - BPSK_G1_MC_MEAN) < BPSK_G1_MC_3SE
+    assert abs(mi_curve(bpsk, 1.0)[0] - BPSK_G1_MC_MEAN) < BPSK_G1_MC_3SE
 
 
 def test_mmse_zero_snr_is_inverse_ln2(qam4):
-    assert mmse_curve(qam4, 0.0, 40)[0] == pytest.approx(1.0 / LN2, abs=1e-8)
+    assert mmse_curve(qam4, 0.0)[0] == pytest.approx(1.0 / LN2, abs=1e-8)
 
 
 def test_mmse_decays_super_exponentially(qam4):
-    assert mmse_curve(qam4, 1e6, 60)[0] < 1e-20
+    assert mmse_curve(qam4, 1e6)[0] < 1e-20
 
 
 def test_mmse_matches_finite_difference_at_unit_snr(bpsk):
     h = 1e-4
-    fd = (mi_curve(bpsk, 1.0 + h, 60)[0] - mi_curve(bpsk, 1.0 - h, 60)[0]) / (2 * h)
-    assert abs(fd - mmse_curve(bpsk, 1.0, 60)[0]) < 1e-5
+    fd = (mi_curve(bpsk, 1.0 + h)[0] - mi_curve(bpsk, 1.0 - h)[0]) / (2 * h)
+    assert abs(fd - mmse_curve(bpsk, 1.0)[0]) < 1e-5
 
 
 def assert_i_mmse_consistent(c, gammas):
     """Central differences of mi_curve match mmse_curve at every SNR."""
     h = 1e-4 * np.maximum(gammas, 1.0)
-    fd = (mi_curve(c, gammas + h, 40) - mi_curve(c, gammas - h, 40)) / (2 * h)
-    m = mmse_curve(c, gammas, 40)
+    fd = (mi_curve(c, gammas + h) - mi_curve(c, gammas - h)) / (2 * h)
+    m = mmse_curve(c, gammas)
     assert np.all(np.abs(fd - m) <= np.maximum(1e-5, 1e-3 * m))
 
 
@@ -96,8 +96,8 @@ def test_i_mmse_consistency_random_snrs(bpsk, qam4, rng):
 
 def test_monotonicity_on_random_pairs(qam4, rng):
     gammas = np.sort(10.0 ** rng.uniform(-4, 4, 100))
-    mi = mi_curve(qam4, gammas, 40)
-    mm = mmse_curve(qam4, gammas, 40)
+    mi = mi_curve(qam4, gammas)
+    mm = mmse_curve(qam4, gammas)
     assert np.all(np.diff(mi) >= -1e-12)
     assert np.all(np.diff(mm) <= 1e-12)
     assert np.all(mi >= 0.0) and np.all(mi <= qam4.bits)
@@ -106,7 +106,7 @@ def test_monotonicity_on_random_pairs(qam4, rng):
 def test_estimation_error_tail_decay(bpsk, qam4, qam16):
     # log mmse must fall at least linearly with slope -d_min^2/8 (5% slack)
     for c in (bpsk, qam4, qam16):
-        m20, m80 = mmse_curve(c, [20.0, 80.0], 40)
+        m20, m80 = mmse_curve(c, [20.0, 80.0])
         slope = (math.log(m80) - math.log(m20)) / 60.0
         assert slope <= -(c.d_min**2 / 8.0) * 0.95
 
@@ -115,17 +115,17 @@ def test_first_moment_of_mmse_tail(bpsk, qam4):
     # convergence of int x mmse(x) dx: the bpsk tail beyond 100 is negligible
     # in absolute terms; wider alphabets decay slower, so check them relative
     xs = np.logspace(2, 3.4, 3000)
-    tail_bpsk = np.trapezoid(xs * mmse_curve(bpsk, xs, 40), xs)
+    tail_bpsk = np.trapezoid(xs * mmse_curve(bpsk, xs), xs)
     assert tail_bpsk < 1e-12
     xs4 = np.logspace(2, 3.4, 3000)
     body = np.logspace(-6, 2, 3000)
-    total4 = np.trapezoid(body * mmse_curve(qam4, body, 40), body)
-    tail4 = np.trapezoid(xs4 * mmse_curve(qam4, xs4, 40), xs4)
+    total4 = np.trapezoid(body * mmse_curve(qam4, body), body)
+    tail4 = np.trapezoid(xs4 * mmse_curve(qam4, xs4), xs4)
     assert tail4 < 1e-6 * total4
 
 
 def test_build_table_grid_and_monotonicity(qam4):
-    t = build_table(qam4, -40.0, 40.0, 20, 40)
+    t = build_table(qam4, -40.0, 40.0, 20)
     assert len(t.snr_grid) == 161
     assert np.all(np.diff(t.snr_grid) > 0)
     assert np.all(np.diff(t.mi_values) >= 0)
@@ -136,9 +136,9 @@ def test_build_table_grid_and_monotonicity(qam4):
 
 def test_build_table_validation(qam4):
     with pytest.raises(ValueError):
-        build_table(qam4, 10.0, -10.0, 20, 40)
+        build_table(qam4, 10.0, -10.0, 20)
     with pytest.raises(ValueError):
-        build_table(qam4, -10.0, 10.0, 5, 40)
+        build_table(qam4, -10.0, 10.0, 5)
 
 
 def test_table_lookup_identities(table_qam4, qam4):
@@ -227,30 +227,31 @@ def test_table_refuses_a_grid_not_uniform_in_log10(table_qam4):
 
 def test_table_interpolation_accuracy(table_qam4, qam4, rng):
     gammas = 10.0 ** rng.uniform(-3.9, 3.9, 100)
-    direct = mi_curve(qam4, gammas, 40, band_order=200)
+    direct = mi_curve(qam4, gammas, band_order=200)
     interp = table_qam4.mi(gammas)
     assert np.max(np.abs(direct - interp)) < 1e-4
 
 
 def test_direct_info_matches_pointwise(qam4):
-    info = DirectInfo(qam4, 40)
+    info = DirectInfo(qam4)
     for g in (0.0, 0.3, 7.0, 2e3):
-        assert info.mi(g) == pytest.approx(mi_curve(qam4, g, 40)[0], abs=0.0)
+        assert info.mi(g) == pytest.approx(mi_curve(qam4, g)[0], abs=0.0)
 
 
 def test_argument_validation(qam4):
     with pytest.raises(ValueError):
-        mi_curve(qam4, -1.0, 40)
-    with pytest.raises(ValueError):
+        mi_curve(qam4, -1.0)
+    # the Hermite order is a constant of the kernel, not an argument
+    with pytest.raises(TypeError):
         mi_curve(qam4, 1.0, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         mmse_curve(qam4, 1.0, 300)
 
 
 def test_refuses_an_snr_array_of_more_than_one_dimension(qam4):
     for curve in (mi_curve, mmse_curve):
         with pytest.raises(ValueError, match="1-D"):
-            curve(qam4, np.ones((2, 2)), 40)
+            curve(qam4, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -258,7 +259,7 @@ def test_refuses_a_nan_or_infinite_snr(bad, qam4):
     for c in (qam4, make_psk(8)):
         for curve in (mi_curve, mmse_curve):
             with pytest.raises(ValueError, match="finite"):
-                curve(c, np.array([1.0, bad]), 40)
+                curve(c, np.array([1.0, bad]))
 
 
 def tensor_oracle(c, gamma, order):
@@ -288,8 +289,7 @@ def tensor_oracle(c, gamma, order):
 
 def assert_matches_oracle(c, gammas, order):
     # band_order == order pins the rule, so kernel and oracle sum the same nodes
-    mi = mi_curve(c, gammas, order, band_order=order)
-    mm = mmse_curve(c, gammas, order, band_order=order)
+    mi, mm = channel_info._kernel_pass(c, gammas, order, order)
     for g, a, b in zip(gammas, mi, mm):
         ref_mi, ref_mm = tensor_oracle(c, g, order)
         assert abs(a - ref_mi) < 1e-12, (c.label, g, order, a - ref_mi)
@@ -411,8 +411,9 @@ def test_orbit_path_memory_is_one_symbol_at_a_time():
     gamma = 20.0 / c.d_min**2
     tracemalloc.start()
     try:
-        mi_curve(c, gamma, 200)
-        mmse_curve(c, gamma, 200)
+        # in band the rule is the band order's
+        mi_curve(c, gamma, band_order=200)
+        mmse_curve(c, gamma, band_order=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,8 +424,8 @@ def test_orbit_path_memory_is_one_symbol_at_a_time():
 def test_large_qam_i_mmse_and_saturation(m, rng):
     c = make_qam(m)
     assert_i_mmse_consistent(c, 10.0 ** rng.uniform(-3.0, 4.0, 30))
-    assert mi_curve(c, 1e6, 40)[0] == pytest.approx(c.bits, abs=1e-9)
-    assert mmse_curve(c, 1e6, 40)[0] < 1e-20
+    assert mi_curve(c, 1e6)[0] == pytest.approx(c.bits, abs=1e-9)
+    assert mmse_curve(c, 1e6)[0] < 1e-20
 
 
 def test_build_table_qam256_is_fast_and_saturates():
@@ -591,39 +592,39 @@ def test_both_curves_on_one_grid_make_one_kernel_pass(kernel_terms):
     c = make_psk(8)
     gammas = np.logspace(-2, 2, 9)
     one_pass = gammas.size * len(_blocks(c.points.tobytes(), c.d_min))
-    mi = mi_curve(c, gammas, 40)
+    mi = mi_curve(c, gammas)
     assert len(kernel_terms) == one_pass
-    mm = mmse_curve(c, gammas, 40)
+    mm = mmse_curve(c, gammas)
     assert len(kernel_terms) == one_pass
-    # another grid, order or alphabet is a new pass
-    mmse_curve(c, gammas, 40, band_order=200)
-    mmse_curve(make_qam(4), gammas, 40)
+    # another grid, band order or alphabet is a new pass
+    mmse_curve(c, gammas, band_order=200)
+    mmse_curve(make_qam(4), gammas)
     assert len(kernel_terms) > 2 * one_pass
-    assert np.array_equal(mi, mi_curve(c, gammas[::-1], 40)[::-1])
-    assert np.array_equal(mm, mmse_curve(c, gammas[::-1], 40)[::-1])
+    assert np.array_equal(mi, mi_curve(c, gammas[::-1])[::-1])
+    assert np.array_equal(mm, mmse_curve(c, gammas[::-1])[::-1])
 
 
 def test_writing_into_a_returned_curve_leaves_the_next_call_unchanged(kernel_terms, qam4):
     gammas = np.logspace(-1, 1, 5)
-    mi, mm = mi_curve(qam4, gammas, 40), mmse_curve(qam4, gammas, 40)
+    mi, mm = mi_curve(qam4, gammas), mmse_curve(qam4, gammas)
     expect_mi, expect_mm = mi.copy(), mm.copy()
     mi[:] = -1.0
     mm *= 3.0
-    assert np.array_equal(mi_curve(qam4, gammas, 40), expect_mi)
-    assert np.array_equal(mmse_curve(qam4, gammas, 40), expect_mm)
+    assert np.array_equal(mi_curve(qam4, gammas), expect_mi)
+    assert np.array_equal(mmse_curve(qam4, gammas), expect_mm)
     assert len(kernel_terms) == 5 * 2
 
 
 def test_kernel_memo_keeps_only_the_last_pass(kernel_terms, qam4):
     grids = [np.array([g]) for g in (0.1, 0.2, 0.3, 0.4)]
     for g in grids:
-        mi_curve(qam4, g, 40)
+        mi_curve(qam4, g)
         assert len(channel_info._LAST_PASS) == 1
     assert len(kernel_terms) == 4 * 2
-    mmse_curve(qam4, grids[-1], 40)
+    mmse_curve(qam4, grids[-1])
     assert len(kernel_terms) == 4 * 2
     # the first grid was dropped, so it runs the kernel again
-    mmse_curve(qam4, grids[0], 40)
+    mmse_curve(qam4, grids[0])
     assert len(kernel_terms) == 5 * 2
 
 
@@ -639,7 +640,7 @@ def test_node_set_pass_is_batched_and_bounded_in_memory(monkeypatch, qam4):
         return kernel_pass(*args)
 
     monkeypatch.setattr(channel_info, "_kernel_pass", capturing)
-    amr._mellin_nodes(qam4, 40)
+    amr._mellin_nodes(qam4)
     (args,) = passes
     calls = []
     term = channel_info._fused_terms

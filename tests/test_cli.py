@@ -129,8 +129,9 @@ _REMOVED_GA = {"crossover_rate": 0.8, "mutation_rate": None, "mutation_scale": 0
     ({"gap_window": [1e-4, 1e-1]}, "gap_window"),
     ({"gap_window_coop": [1e-9, 1e-4]}, "gap_window_coop"),
     ({"quadrature_order": 50}, "quadrature_order"),
+    ({"hermite_order": 40}, "hermite_order"),
 ], ids=[*(f"ga.{name}" for name in _REMOVED_GA), "rmcgd", "gap_window", "gap_window_coop",
-        "quadrature_order"])
+        "quadrature_order", "hermite_order"])
 def test_removed_config_field_is_a_config_error(capsys, tmp_path, raw, fld):
     path = tmp_path / "removed.json"
     path.write_text(json.dumps({**TINY, **raw}))
