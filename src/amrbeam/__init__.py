@@ -43,4 +43,3 @@ from .manifold_opt import (
     rm_cgd,
 )
 from .mc_sim import McEstimate, mc_amr
-from .quadrature import QuadratureRule, gauss_hermite, gauss_laguerre

@@ -2,7 +2,8 @@
 
 Non-cooperative transmission is limited by the weakest user, so the rate
 averages the scalar mutual information against the exponential law of the
-minimum SNR; the module's one 50-node Gauss-Laguerre rule turns that into
+minimum SNR; the module's one 50-node Gauss-Laguerre rule (numpy's
+laggauss, like the far-tail rules below) turns that into
 sum_t w_t mi(gamma_non v_t). Cooperative reception sums the per-user SNRs,
 and the rate averages against the gamma-series law on the same nodes, giving
 a double sum over series terms and quadrature nodes with all gamma-function
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +43,6 @@ from .channel_model import (
     quadratic_forms,
 )
 from .constellation import Constellation
-from .quadrature import gauss_laguerre
 
 __all__ = [
     "amr_noncoop",
@@ -54,10 +55,18 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _laguerre_rule(order: int):
+    """numpy's Gauss-Laguerre rule (nodes, weights) for int_0^inf f(x) e^{-x} dx, read-only."""
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 # the rate averages' Gauss-Laguerre rule, with the logs amr_coop sums in
-_RATE_RULE = gauss_laguerre(50)
-_LOG_NODES = np.log(_RATE_RULE.nodes)
-_LOG_WEIGHTS = np.log(_RATE_RULE.weights)
+_RATE_NODES, _RATE_WEIGHTS = _laguerre_rule(50)
+_LOG_NODES = np.log(_RATE_NODES)
+_LOG_WEIGHTS = np.log(_RATE_WEIGHTS)
 # K -> amr_coop's rows for the terms l = 0, 1, ..., see _erlang_rows
 _ERLANG_ROWS: dict = {}
 
@@ -70,7 +79,7 @@ def amr_noncoop(info, gamma_non: float) -> float:
     """
     if gamma_non <= 0.0:
         raise ValueError(f"gamma_non must be positive, got {gamma_non}")
-    val = float(np.dot(_RATE_RULE.weights, info.mi(gamma_non * _RATE_RULE.nodes)))
+    val = float(np.dot(_RATE_WEIGHTS, info.mi(gamma_non * _RATE_NODES)))
     return min(max(val, 0.0), info.constellation.bits)
 
 
@@ -102,7 +111,7 @@ def amr_coop(info, law: MrcLaw) -> float:
     Evaluates the gamma-series mixture term by term: component l contributes
     c_l / Gamma(K+l) * sum_t w_t v_t^(K+l-1) mi(gamma_min v_t).
     """
-    mi = info.mi(law.gamma_min * _RATE_RULE.nodes)
+    mi = info.mi(law.gamma_min * _RATE_NODES)
     val = float(law.coeffs @ (_erlang_rows(law.K, law.L + 1) @ mi))
     return min(max(val, 0.0), info.constellation.bits)
 
@@ -165,14 +174,14 @@ def _mellin_nodes(c: Constellation) -> SimpleNamespace:
         half = 0.5 * np.diff(edges)
         x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _GL_NODES
         alpha = c.d_min**2 / 8.0
-        rules = [gauss_laguerre(n) for n in (_TAIL_ORDER, _TAIL_CHECK_ORDER)]
-        far = [edges[-1] + rule.nodes / alpha for rule in rules]
+        rules = [_laguerre_rule(n) for n in (_TAIL_ORDER, _TAIL_CHECK_ORDER)]
+        far = [edges[-1] + u / alpha for u, _ in rules]
         points = np.concatenate([x.ravel(), *far])
         vals = np.split(mmse_curve(c, points), np.cumsum([x.size, far[0].size]))
         gap = np.maximum(c.bits - mi_curve(c, points)[: x.size], 0.0)
         with np.errstate(divide="ignore"):  # an underflowed mmse gives -inf, a zero term
-            tails = tuple((np.log(xf), np.log(rule.weights) + rule.nodes + np.log(v) - math.log(alpha))
-                          for rule, xf, v in zip(rules, far, vals[1:]))
+            tails = tuple((np.log(xf), np.log(w) + u + np.log(v) - math.log(alpha))
+                          for (u, w), xf, v in zip(rules, far, vals[1:]))
         _MELLIN_NODES[key] = SimpleNamespace(
             x=x, half=half, nodes=x.ravel(), weights=(half[:, None] * _GL_WEIGHTS).ravel(),
             mmse=vals[0].reshape(x.shape), tails=tails, gap=gap)

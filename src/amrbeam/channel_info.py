@@ -10,9 +10,10 @@ estimation error E{|X - E[X|Y]|^2} divided by ln 2, so
 holds without unit bookkeeping downstream. (In natural units the zero-SNR limit
 of the raw error is E|X|^2 = 1; in this bit convention it is 1/ln 2.)
 
-The complex-plane integrals are Gauss-Hermite sums after shifting the
-integration variable to the noise, u = sqrt(g) x_m + n, which leaves a smooth
-log-sum-exp of likelihood ratios against the standard complex Gaussian measure.
+The complex-plane integrals are Gauss-Hermite sums, on numpy's hermgauss
+rules, after shifting the integration variable to the noise,
+u = sqrt(g) x_m + n, which leaves a smooth log-sum-exp of likelihood ratios
+against the standard complex Gaussian measure.
 The reference sum is the tensor product of two rules, one per real dimension,
 over every pair of symbols: M^2 * order^2 terms per SNR. The evaluators compute
 exactly that sum, up to rounding, from the structure of the alphabet:
@@ -21,7 +22,9 @@ exactly that sum, up to rounding, from the structure of the alphabet:
   imaginary parts are rounding) splits each exponent into a real-axis and an
   imaginary-axis part. The log-sum-exp and the posterior then factor, and the
   tensor sum is the sum of two 1-D Gauss-Hermite sums, one per axis with noise
-  N(0, 1/2): 2 * M * order terms. A square QAM is two PAM channels.
+  N(0, 1/2): 2 * M * order terms. When both axes have the same levels (every
+  square QAM) the two sums are bitwise the same, so the pass evaluates one
+  and adds it twice: M * order terms.
 - Every other alphabet keeps the tensor grid. The 8 symmetries z -> j^k z and
   z -> j^k conj(z) map the grid and its weights onto themselves, so a symbol's
   term is the same for every point of its orbit under the symmetries that also
@@ -93,7 +96,6 @@ from functools import lru_cache
 import numpy as np
 
 from .constellation import Constellation
-from .quadrature import gauss_hermite
 
 __all__ = [
     "mi_curve",
@@ -132,10 +134,13 @@ def _noise_rule(hermite_order: int):
     """Gauss-Hermite rule for one real dimension of CN(0, 1) noise, N(0, 1/2).
 
     Its density is exp(-x^2) / sqrt(pi). Returns (nodes, weights): nodes as a
-    (1, order) array, weights summing to 1.
+    (1, order) array, weights summing to 1, both from numpy's hermgauss, which
+    makes them exactly symmetric. They are read-only: every caller shares them.
     """
-    rule = gauss_hermite(hermite_order)
-    return rule.nodes[None, :], rule.weights / math.sqrt(math.pi)
+    x, w = np.polynomial.hermite.hermgauss(hermite_order)
+    nodes, weights = x[None, :], w / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=32)
@@ -179,22 +184,6 @@ def _block_rule(hermite_order: int, floor: float, stabilizer):
     return _folded_rule(hermite_order, stabilizer, floor)
 
 
-def _effective_rule(requested: int, gamma: float, d_min: float, band_order: int):
-    """(order, floor) of the rules used at this SNR.
-
-    Inside the boundary-layer band the order is the flat maximum and the 2-D
-    rules drop the nodes of weight below _WEIGHT_FLOOR; outside it the
-    requested order keeps every node. A single in-band order (rather than one
-    graded with SNR) keeps the rule locally constant in gamma, so finite
-    differences of the computed mutual information never straddle a
-    quadrature switch.
-    """
-    lo, hi = _BAND
-    if lo < gamma * d_min * d_min < hi:
-        return max(requested, band_order), _WEIGHT_FLOOR
-    return requested, 0.0
-
-
 def _levels(values: np.ndarray, tol: float):
     """Distinct values, merged when closer than tol, and the level index of each value."""
     order = np.argsort(values, kind="stable")
@@ -208,17 +197,20 @@ def _levels(values: np.ndarray, tol: float):
 def _blocks(points_bytes: bytes, d_min: float):
     """Split the alphabet average into independent quadrature blocks.
 
-    Each block is (sent, alphabet, share, stabilizer): real coordinates of the
-    transmitted symbols and of the alphabet as (rows, dims) arrays, the weight
-    of each transmitted symbol in the total, and the grid symmetries that fold
-    the block's noise rule. A Cartesian product of real and imaginary levels
-    gives two 1-D blocks, one per axis, with stabilizer None. Any other
-    alphabet gives one 2-D block per orbit under those of the 8 grid
-    symmetries that map it onto itself, weighted by the orbit size; without
-    symmetry every point is its own orbit. Its stabilizer is the tuple of
-    those symmetries that also fix its representative, numbered as in
-    _folded_rule. Points closer than _STRUCTURE_TOL * d_min count as equal,
-    which absorbs rounding such as the ~1e-16 imaginary parts of BPSK.
+    Each block is (sent, alphabet, share, stabilizer, copies): real
+    coordinates of the transmitted symbols and of the alphabet as (rows, dims)
+    arrays, the weight of each transmitted symbol in the total, the grid
+    symmetries that fold the block's noise rule, and how many times the block
+    enters the total. A Cartesian product of real and imaginary levels gives
+    two 1-D blocks, one per axis, with stabilizer None; when the two axes have
+    the same levels (every square QAM) the blocks are bitwise the same, so it
+    gives one, with 2 copies. Any other alphabet gives one 2-D block per orbit
+    under those of the 8 grid symmetries that map it onto itself, weighted by
+    the orbit size; without symmetry every point is its own orbit. Its
+    stabilizer is the tuple of those symmetries that also fix its
+    representative, numbered as in _folded_rule. Points closer than
+    _STRUCTURE_TOL * d_min count as equal, which absorbs rounding such as the
+    ~1e-16 imaginary parts of BPSK.
     """
     points = np.frombuffer(points_bytes, dtype=np.complex128)
     size = points.size
@@ -226,7 +218,9 @@ def _blocks(points_bytes: bytes, d_min: float):
     re, re_index = _levels(points.real, tol)
     im, im_index = _levels(points.imag, tol)
     if re.size * im.size == size and len(set((re_index * im.size + im_index).tolist())) == size:
-        return tuple((v[:, None], v[:, None], np.full(v.size, 1.0 / v.size), None) for v in (re, im))
+        axes = ((re, 2),) if np.array_equal(re, im) else ((re, 1), (im, 1))
+        return tuple((v[:, None], v[:, None], np.full(v.size, 1.0 / v.size), None, copies)
+                     for v, copies in axes)
 
     perms = {}
     # images under the 8 symmetries of the square grid: j^k z and j^k conj(z)
@@ -245,7 +239,7 @@ def _blocks(points_bytes: bytes, d_min: float):
             orbit = np.array(sorted({perm[m] for perm in perms.values()}))
             seen[orbit] = True
             stabilizer = tuple(s for s, perm in perms.items() if perm[m] == m)
-            blocks.append((coords[m : m + 1], coords, np.array([orbit.size / size]), stabilizer))
+            blocks.append((coords[m : m + 1], coords, np.array([orbit.size / size]), stabilizer, 1))
     return tuple(blocks)
 
 
@@ -296,29 +290,40 @@ def _fused_terms(sent, alphabet, gammas, nodes, weights, work):
 def _kernel_pass(c: Constellation, gammas: np.ndarray, hermite_order: int, band_order: int):
     """(mi, mmse) at each SNR: the alphabet average of _fused_terms, block by block.
 
-    Each run of consecutive SNRs with one effective rule goes through each
-    block in chunks of as many SNRs as fit in _CHUNK_DOUBLES, and at least one.
-    A sorted grid has at most three runs, as the band is an interval.
+    Inside the boundary-layer band the order is the flat maximum of the
+    requested and the band order, and the 2-D rules drop the nodes of weight
+    below _WEIGHT_FLOOR; outside it the requested order keeps every node. A
+    single in-band order (rather than one graded with SNR) keeps the rule
+    locally constant in gamma, so finite differences of the computed mutual
+    information never straddle a quadrature switch. Each run of consecutive
+    SNRs on one side of the band's edges goes through each block in chunks of
+    as many SNRs as fit in _CHUNK_DOUBLES, and at least one. A sorted grid
+    has at most three runs, as the band is an interval.
     """
     blocks = _blocks(c.points.tobytes(), c.d_min)
-    keys = [_effective_rule(hermite_order, g, c.d_min, band_order) for g in gammas.tolist()]
+    x = gammas * c.d_min * c.d_min
+    in_band = ((_BAND[0] < x) & (x < _BAND[1])).tolist()
+    keys = {False: (hermite_order, 0.0), True: (max(hermite_order, band_order), _WEIGHT_FLOOR)}
     # building a rule allocates far more than the pass, so it comes first
-    rules = {key: [_block_rule(*key, block[3]) for block in blocks] for key in set(keys)}
+    rules = {band: [_block_rule(*keys[band], block[3]) for block in blocks] for band in set(in_band)}
     # the sums, which become the results in place, are allocated before the buffer
     penalty = np.zeros(gammas.shape)
     error = np.zeros(gammas.shape)
     work = np.empty(_CHUNK_DOUBLES)
     start = 0
-    for key, run in itertools.groupby(keys):
+    for band, run in itertools.groupby(in_band):
         stop = start + sum(1 for _ in run)
-        for (sent, alphabet, share, _), (nodes, weights) in zip(blocks, rules[key]):
+        for (sent, alphabet, share, _, copies), (nodes, weights) in zip(blocks, rules[band]):
             step = max(1, _CHUNK_DOUBLES // (sent.shape[0] * (alphabet.shape[0] + 2) * nodes.shape[1]))
             for lo in range(start, stop, step):
                 i = slice(lo, min(lo + step, stop))
                 log_part, err = _fused_terms(sent, alphabet, gammas[i], nodes, weights, work)
-                # one dot per SNR, as for a single SNR
-                penalty[i] += (share @ log_part[..., None])[:, 0]
-                error[i] += (share @ err[..., None])[:, 0]
+                # one dot per SNR, as for a single SNR; a block of 2 copies adds
+                # its sums twice, as two blocks would
+                log_part, err = (share @ log_part[..., None])[:, 0], (share @ err[..., None])[:, 0]
+                for _ in range(copies):
+                    penalty[i] += log_part
+                    error[i] += err
         start = stop
     np.divide(penalty, _LN2, out=penalty)
     np.subtract(c.bits, penalty, out=penalty)

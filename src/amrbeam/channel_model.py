@@ -32,7 +32,7 @@ from operator import add, mul
 import numpy as np
 import numpy.random  # loaded lazily by numpy 2; every CLI command draws from it
 
-from .quadrature import gauss_hermite
+from .channel_info import _noise_rule
 
 __all__ = [
     "NulledUserError",
@@ -128,7 +128,7 @@ def make_correlation(
     ``local_scattering``: half-wavelength ULA facing a scatterer cluster at
     ``angle`` (radians) with Gaussian angular offsets of std ``spread``;
     R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), evaluated by
-    order-200 Gauss-Hermite and clipped onto the PSD cone.
+    numpy's order-200 Gauss-Hermite rule and clipped onto the PSD cone.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 antennas, got {n}")
@@ -143,9 +143,9 @@ def make_correlation(
     if model == "local_scattering":
         if angle is None or spread is None or spread <= 0.0:
             raise ValueError("local_scattering model needs angle and spread > 0")
-        rule = gauss_hermite(200)
-        deltas = math.sqrt(2.0) * spread * rule.nodes
-        w = rule.weights / math.sqrt(math.pi)
+        # delta = sqrt(2) spread x with x ~ N(0, 1/2), the kernel's noise rule
+        (x,), w = _noise_rule(200)
+        deltas = math.sqrt(2.0) * spread * x
         sines = np.sin(angle + deltas)
         lags = np.exp(1j * np.pi * np.arange(n)[:, None] * sines[None, :]) @ w
         r = lags[np.abs(lag)]

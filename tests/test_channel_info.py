@@ -13,7 +13,6 @@ from amrbeam import (
     DirectInfo,
     build_table,
     InfoTable,
-    gauss_hermite,
     make_custom,
     make_psk,
     make_qam,
@@ -21,7 +20,7 @@ from amrbeam import (
     mmse_curve,
 )
 from amrbeam import amr, channel_info
-from amrbeam.channel_info import _WEIGHT_FLOOR, _block_rule, _blocks, _effective_rule
+from amrbeam.channel_info import _BAND, _WEIGHT_FLOOR, _block_rule, _blocks
 
 LN2 = math.log(2.0)
 
@@ -268,10 +267,10 @@ def tensor_oracle(c, gamma, order):
     Shifts the integration variable to the noise, n ~ CN(0, 1), and sums every
     transmitted symbol over the order^2 grid; one symbol at a time bounds memory.
     """
-    rule = gauss_hermite(order)
-    nr = np.repeat(rule.nodes, order)
-    ni = np.tile(rule.nodes, order)
-    w = np.outer(rule.weights, rule.weights).ravel() / math.pi
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nr = np.repeat(nodes, order)
+    ni = np.tile(nodes, order)
+    w = np.outer(weights, weights).ravel() / math.pi
     s = math.sqrt(gamma)
     penalty = err = 0.0
     for x in c.points:
@@ -323,8 +322,9 @@ def test_kernel_matches_tensor_oracle_named(name, order):
 
 
 def test_structure_reductions():
-    # square QAM and BPSK split into two 1-D axis blocks; PSK keeps one 2-D
-    # block per orbit under the 8 grid symmetries; no symmetry, no reduction.
+    # square QAM and BPSK split into two 1-D axis blocks, which for square QAM
+    # are one block of 2 copies; PSK keeps one 2-D block per orbit under the 8
+    # grid symmetries; no symmetry, no reduction.
     # Each 2-D block sums one node of the order-200 grid per orbit of its
     # stabilizer, and in band only the orbits of tensor weight >= 1e-40:
     # (stabilizer order, nodes, floored nodes) per block, None for a 1-D block
@@ -338,8 +338,9 @@ def test_structure_reductions():
         (make_custom([0, 1, 3j, 2 + 1j]), [(1, 40_000, 10_532)] * 4),
     ):
         blocks = _blocks(c.points.tobytes(), c.d_min)
+        assert len(blocks) == (1 if c.label.endswith("QAM") else len(folds)), c.label
         found = []
-        for _, alphabet, _, stabilizer in blocks:
+        for _, alphabet, _, stabilizer, copies in blocks:
             assert alphabet.shape[1] == (1 if stabilizer is None else 2), c.label
             sizes = []
             for floor in (0.0, _WEIGHT_FLOOR):
@@ -347,7 +348,7 @@ def test_structure_reductions():
                 assert nodes.shape == (alphabet.shape[1], weights.size)
                 assert abs(weights.sum() - 1.0) <= 1e-15, (c.label, stabilizer, floor)
                 sizes.append(weights.size)
-            found.append((None if stabilizer is None else len(stabilizer), *sizes))
+            found += [(None if stabilizer is None else len(stabilizer), *sizes)] * copies
         assert found == folds, c.label
 
 
@@ -469,13 +470,30 @@ def _error_sums_ref(sent, alphabet, gamma, nodes, weights):
     return _node_sums_ref((err * err).sum(axis=1), nodes, weights)
 
 
+def _effective_rule_ref(requested, gamma, d_min, band_order):
+    """(order, floor) of one SNR's rules, decided one SNR at a time as the kernel once did."""
+    lo, hi = _BAND
+    if lo < gamma * d_min * d_min < hi:
+        return max(requested, band_order), _WEIGHT_FLOOR
+    return requested, 0.0
+
+
+def _blocks_ref(c):
+    """The blocks as the kernel once split them: a Cartesian alphabet gives one per axis."""
+    blocks = _blocks(c.points.tobytes(), c.d_min)
+    if blocks[0][3] is not None:
+        return [block[:4] for block in blocks]
+    tol = channel_info._STRUCTURE_TOL * c.d_min
+    axes = [channel_info._levels(v, tol)[0] for v in (c.points.real, c.points.imag)]
+    return [(v[:, None], v[:, None], np.full(v.size, 1.0 / v.size), None) for v in axes]
+
+
 def _quadrature_sum_ref(c, gammas, hermite_order, band_order, term):
     # each SNR takes the rule the kernel takes: in band the band order, floored
-    blocks = _blocks(c.points.tobytes(), c.d_min)
     out = np.zeros(gammas.shape)
     for i, g in enumerate(gammas.tolist()):
-        order, floor = _effective_rule(hermite_order, g, c.d_min, band_order)
-        for sent, alphabet, share, stabilizer in blocks:
+        order, floor = _effective_rule_ref(hermite_order, g, c.d_min, band_order)
+        for sent, alphabet, share, stabilizer in _blocks_ref(c):
             nodes, weights = _block_rule(order, floor, stabilizer)
             out[i] += share @ term(sent, alphabet, g, nodes, weights)
     return out
@@ -539,7 +557,7 @@ def test_batched_pass_is_bitwise_the_per_snr_sums_across_orders_and_chunks(monke
     # a chunk boundary falls inside a run of each order, on every block
     blocks = _blocks(c.points.tobytes(), c.d_min)
     runs = Counter(key for key, _ in itertools.groupby(
-        _effective_rule(40, g, c.d_min, 200) for g in gammas.tolist()))
+        _effective_rule_ref(40, g, c.d_min, 200) for g in gammas.tolist()))
     assert set(runs) == {(40, 0.0), (200, _WEIGHT_FLOOR)}
     for key, count in runs.items():
         sizes = {_block_rule(*key, block[3])[1].size for block in blocks}
@@ -612,7 +630,8 @@ def test_writing_into_a_returned_curve_leaves_the_next_call_unchanged(kernel_ter
     mm *= 3.0
     assert np.array_equal(mi_curve(qam4, gammas), expect_mi)
     assert np.array_equal(mmse_curve(qam4, gammas), expect_mm)
-    assert len(kernel_terms) == 5 * 2
+    # one term call per SNR and distinct block: 4-QAM's two axes are one block
+    assert len(kernel_terms) == 5
 
 
 def test_kernel_memo_keeps_only_the_last_pass(kernel_terms, qam4):
@@ -620,12 +639,13 @@ def test_kernel_memo_keeps_only_the_last_pass(kernel_terms, qam4):
     for g in grids:
         mi_curve(qam4, g)
         assert len(channel_info._LAST_PASS) == 1
-    assert len(kernel_terms) == 4 * 2
+    # one term call per SNR and distinct block: 4-QAM's two axes are one block
+    assert len(kernel_terms) == 4
     mmse_curve(qam4, grids[-1])
-    assert len(kernel_terms) == 4 * 2
+    assert len(kernel_terms) == 4
     # the first grid was dropped, so it runs the kernel again
     mmse_curve(qam4, grids[0])
-    assert len(kernel_terms) == 5 * 2
+    assert len(kernel_terms) == 5
 
 
 def test_node_set_pass_is_batched_and_bounded_in_memory(monkeypatch, qam4):
@@ -656,8 +676,9 @@ def test_node_set_pass_is_batched_and_bounded_in_memory(monkeypatch, qam4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one call per SNR and block would be 2 * 1378 = 2756; chunks make 80
-    assert sum(calls) == 2 * args[1].size
-    assert len(calls) <= 400
+    # one call per SNR and distinct block (4-QAM's two axes are one block)
+    # would be 1378; chunks make 40
+    assert sum(calls) == args[1].size
+    assert len(calls) <= 200
     # the work buffer, the chunk's error terms and the (1378,) results
     assert peak < 6 * 8 * channel_info._CHUNK_DOUBLES

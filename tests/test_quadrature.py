@@ -1,51 +1,115 @@
+"""The package's Gauss rules: numpy's hermgauss and laggauss behind two cached helpers.
+
+channel_info._noise_rule gives the Hermite rule for N(0, 1/2), whose weights
+sum to 1 (the e^{-x^2} weights divided by sqrt(pi)); amr._laguerre_rule the
+Laguerre rule for the e^{-x} measure.
+"""
+
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from amrbeam import gauss_hermite, gauss_laguerre, quadrature
+from amrbeam import amr, channel_info
+
+SQRT_PI = math.sqrt(math.pi)
+
+
+_laguerre = amr._laguerre_rule
+
+
+def _hermite(order):
+    """Nodes and weights of the e^{-x^2} measure, from the kernel's noise rule."""
+    (nodes,), weights = channel_info._noise_rule(order)
+    return nodes, weights * SQRT_PI
 
 
 def _integrate(rule, fn):
     """sum_i w_i fn(x_i)"""
-    return float(np.dot(rule.weights, fn(rule.nodes)))
+    nodes, weights = rule
+    return float(np.dot(weights, fn(nodes)))
+
+
+# Largest relative error of any moment below, measured with numpy 2.4.6
+# (the log-space sum itself rounds by about k * 1e-16 * ln x per term):
+# Laguerre 2.1e-13 (order 50), 8.5e-13 (100), 1.5e-12 (150); Hermite
+# 1.5e-14 (order 40), 9.2e-14 (120), 1.6e-13 (200). Each tolerance is about
+# twice that.
+_LAGUERRE = {50: 5e-13, amr._TAIL_CHECK_ORDER: 2e-12, amr._TAIL_ORDER: 3e-12}
+_HERMITE = {channel_info._HERMITE_ORDER: 4e-14, 120: 2e-13, 200: 3e-13}
+
+
+def _relative_moments(log_nodes, weights, log_exact):
+    """sum_i w_i x_i^k / exact_k - 1 for each row k, summed in log space to stay finite."""
+    k = np.arange(log_exact.size)[:, None]
+    return np.exp(np.log(weights) + k * log_nodes - log_exact[:, None]).sum(axis=1) - 1.0
+
+
+@pytest.mark.parametrize("kind", ["laguerre", "hermite"])
+def test_package_rules_integrate_every_exact_moment(kind):
+    # the rules the package sums with: amr's rate rule and Mellin far tail and
+    # its check; the kernel's noise rule out of band and at the band orders,
+    # whose order-200 rule make_correlation also takes
+    if kind == "laguerre":
+        rules = {50: (amr._RATE_NODES, amr._RATE_WEIGHTS)}
+        rules.update((n, amr._laguerre_rule(n)) for n in (amr._TAIL_ORDER, amr._TAIL_CHECK_ORDER))
+        tolerance = _LAGUERRE
+    else:
+        rules = {n: channel_info._noise_rule(n) for n in _HERMITE}
+        tolerance = _HERMITE
+    for order, (nodes, weights) in rules.items():
+        nodes = np.ravel(nodes)
+        assert nodes.size == weights.size == order
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        if kind == "laguerre":
+            # int_0^inf x^k e^{-x} dx = k!, exact for k < 2 order
+            log_exact = np.array([math.lgamma(k + 1.0) for k in range(2 * order)])
+            err = _relative_moments(np.log(nodes), weights, log_exact)
+        else:
+            # the N(0, 1/2) moments E x^(2k) = Gamma(k + 1/2) / sqrt(pi), exact
+            # for 2k < 2 order; the odd ones vanish by the rule's exact symmetry
+            assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+            log_exact = np.array([math.lgamma(k + 0.5) for k in range(order)]) - 0.5 * math.log(math.pi)
+            err = _relative_moments(np.log(nodes * nodes), weights, log_exact)
+        assert np.max(np.abs(err)) <= tolerance[order], (kind, order)
 
 
 def test_laguerre_order_one():
-    r = gauss_laguerre(1)
-    assert r.nodes == pytest.approx([1.0])
-    assert r.weights == pytest.approx([1.0])
+    nodes, weights = _laguerre(1)
+    assert nodes == pytest.approx([1.0])
+    assert weights == pytest.approx([1.0])
 
 
 def test_laguerre_order_two_closed_form():
-    r = gauss_laguerre(2)
-    assert r.nodes == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)], abs=1e-14)
-    assert r.weights == pytest.approx([(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4], abs=1e-14)
-    assert r.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    r = _laguerre(2)
+    nodes, weights = r
+    assert nodes == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)], abs=1e-14)
+    assert weights == pytest.approx([(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4], abs=1e-14)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert _integrate(r, lambda x: x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_laguerre_first_moment_at_order_50():
-    assert abs(_integrate(gauss_laguerre(50), lambda x: x) - 1.0) < 1e-12
+    assert abs(_integrate(_laguerre(50), lambda x: x) - 1.0) < 1e-12
 
 
 def test_hermite_order_one_and_two():
-    r1 = gauss_hermite(1)
-    assert r1.nodes == pytest.approx([0.0], abs=1e-15)
-    assert r1.weights == pytest.approx([math.sqrt(math.pi)], abs=1e-14)
-    r2 = gauss_hermite(2)
-    assert r2.nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-14)
-    assert r2.weights == pytest.approx([math.sqrt(math.pi) / 2] * 2, abs=1e-14)
+    nodes, weights = _hermite(1)
+    assert nodes == pytest.approx([0.0], abs=1e-15)
+    assert weights == pytest.approx([SQRT_PI], abs=1e-14)
+    nodes, weights = _hermite(2)
+    assert nodes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-14)
+    assert weights == pytest.approx([SQRT_PI / 2] * 2, abs=1e-14)
 
 
 def test_hermite_second_moment_at_order_30():
-    assert abs(_integrate(gauss_hermite(30), lambda x: x * x) - math.sqrt(math.pi) / 2) < 1e-12
+    assert abs(_integrate(_hermite(30), lambda x: x * x) - SQRT_PI / 2) < 1e-12
 
 
 @pytest.mark.parametrize("order", range(1, 41))
 def test_laguerre_moments_exact(order):
-    r = gauss_laguerre(order)
+    r = _laguerre(order)
     for k in range(2 * order):
         exact = math.factorial(k)
         assert abs(_integrate(r, lambda x: x**float(k)) - exact) < 1e-10 * exact
@@ -53,7 +117,7 @@ def test_laguerre_moments_exact(order):
 
 @pytest.mark.parametrize("order", range(1, 41))
 def test_hermite_moments_exact(order):
-    r = gauss_hermite(order)
+    r = _hermite(order)
     for k in range(0, 2 * order, 2):
         exact = math.gamma((k + 1) / 2)
         assert abs(_integrate(r, lambda x: x**float(k)) - exact) < 1e-10 * exact
@@ -63,70 +127,57 @@ def test_hermite_moments_exact(order):
 
 
 def test_laguerre_rule_invariants():
-    for order in (5, 50, 200):
-        r = gauss_laguerre(order)
-        assert np.all(r.nodes > 0)
-        assert np.all(np.diff(r.nodes) > 0)
-        assert abs(r.weights.sum() - 1.0) < 1e-12
+    # the Mellin far tail sums log weights, so every weight must be positive;
+    # numpy's weights overflow to nan from order 187, past the package's 150
+    for order in (5, 50, amr._TAIL_ORDER):
+        nodes, weights = _laguerre(order)
+        assert np.all(nodes > 0) and np.all(weights > 0)
+        assert np.all(np.diff(nodes) > 0)
+        assert abs(weights.sum() - 1.0) < 1e-12
 
 
 def test_hermite_rule_invariants():
+    # the kernel folds its 2-D grids by symmetry, which needs the 1-D rule
+    # exactly symmetric (see channel_info._folded_rule)
     for order in (5, 51, 200):
-        r = gauss_hermite(order)
-        assert np.allclose(r.nodes, -r.nodes[::-1], atol=0.0)
-        assert abs(r.weights.sum() - math.sqrt(math.pi)) < 1e-10
+        nodes, weights = _hermite(order)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert abs(weights.sum() - SQRT_PI) < 1e-10
 
 
 def test_converged_integrals_stable_between_orders():
-    gl = abs(_integrate(gauss_laguerre(50), np.cos) - _integrate(gauss_laguerre(100), np.cos))
+    gl = abs(_integrate(_laguerre(50), np.cos) - _integrate(_laguerre(100), np.cos))
     assert gl < 1e-12  # exact value 1/2
-    gh = abs(_integrate(gauss_hermite(50), np.cos) - _integrate(gauss_hermite(100), np.cos))
+    gh = abs(_integrate(_hermite(50), np.cos) - _integrate(_hermite(100), np.cos))
     assert gh < 1e-12  # exact value sqrt(pi) e^{-1/4}
 
 
-@pytest.mark.parametrize("order", [0, -3, 201])
+@pytest.mark.parametrize("order", [0, -3])
 def test_order_bounds(order):
     with pytest.raises(ValueError):
-        gauss_laguerre(order)
+        _laguerre(order)
     with pytest.raises(ValueError):
-        gauss_hermite(order)
+        _hermite(order)
 
 
 def test_rules_are_cached_and_read_only():
-    for make in (gauss_laguerre, gauss_hermite):
+    for make in (amr._laguerre_rule, channel_info._noise_rule):
         rule = make(150)
         assert make(150) is rule
-        with pytest.raises(ValueError):
-            rule.nodes[0] = 1.0
-        with pytest.raises(ValueError):
-            rule.weights[0] = 1.0
-
-
-@pytest.mark.parametrize("kind", ["hermite", "laguerre"])
-def test_jacobi_matrix_is_the_sum_of_three_diagonals(kind, monkeypatch):
-    # the matrix eigvalsh receives is bitwise the three-diag sum, so the rule is too
-    cached = {order: quadrature._rule(kind, order) for order in (2, 3, 40, 121, 200)}
-    eigvalsh = np.linalg.eigvalsh
-    orders = []
-
-    def checking(a):
-        diag, off, _ = quadrature._recurrence(kind, a.shape[0])
-        assert np.array_equal(a, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        orders.append(a.shape[0])
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", checking)
-    for order, rule in cached.items():
-        assert np.array_equal(quadrature._rule.__wrapped__(kind, order).nodes, rule.nodes)
-    assert orders == list(cached)
+        for array in rule:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def test_order_200_rule_builds_one_dense_matrix():
-    # the 200 x 200 matrix is 320 KB; summing three np.diag matrices held two
-    quadrature._rule.__wrapped__("hermite", 200)
+    # the order-200 rule is first built inside a kernel pass, where its
+    # transients can set the process's peak memory: one 200 x 200 matrix is
+    # 320 KB
+    channel_info._noise_rule.__wrapped__(200)
     tracemalloc.start()
     try:
-        quadrature._rule.__wrapped__("hermite", 200)
+        channel_info._noise_rule.__wrapped__(200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
