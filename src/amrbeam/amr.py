@@ -111,9 +111,13 @@ def amr_coop(info, law: MrcLaw) -> float:
     Evaluates the gamma-series mixture term by term: component l contributes
     c_l / Gamma(K+l) * sum_t w_t v_t^(K+l-1) mi(gamma_min v_t).
     """
-    mi = info.mi(law.gamma_min * _RATE_NODES)
+    return _coop_rate(law, info.mi(law.gamma_min * _RATE_NODES), info.constellation.bits)
+
+
+def _coop_rate(law: MrcLaw, mi: np.ndarray, bits: float) -> float:
+    """amr_coop's sum from ``mi`` at law.gamma_min * _RATE_NODES, clipped to [0, bits]."""
     val = float(law.coeffs @ (_erlang_rows(law.K, law.L + 1) @ mi))
-    return min(max(val, 0.0), info.constellation.bits)
+    return min(max(val, 0.0), bits)
 
 
 # Panels per decade of the node set; it also sets the widest panel,

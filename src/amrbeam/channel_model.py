@@ -246,19 +246,33 @@ def make_ensemble(
     return ChannelEnsemble(np.stack(mats), float(snr_db))
 
 
+def _forms(ensemble: ChannelEnsemble, v: np.ndarray) -> np.ndarray:
+    """The K quadratic forms v^H R_k v of one vector, unchecked."""
+    return np.real(np.einsum("i,kij,j->k", np.conj(v), ensemble.correlations, v))
+
+
+def _nulled(ensemble: ChannelEnsemble, q: np.ndarray, norm_sq: float) -> np.ndarray:
+    """Which forms q[..., k] of vectors of squared norm ``norm_sq`` null user k.
+
+    A form nulls its user when it is at or below 1e-12 * trace(R_k) * norm_sq / N.
+    _checked_forms and the GA's scorer share this one test.
+    """
+    traces = np.real(np.trace(ensemble.correlations, axis1=1, axis2=2))
+    return q <= _NULL_EPS * traces / (ensemble.N / norm_sq)
+
+
 def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> np.ndarray:
     """Quadratic forms v^H R_k v of a vector whose squared norm is ``norm_sq``.
 
-    Raises NulledUserError when any form is at or below
-    1e-12 * trace(R_k) * norm_sq / N: the multicast rate is then zero and
-    optimizers must treat the configuration as worst-case. quadratic_forms
-    passes f (norm_sq 1), the surrogate objectives pass phi (norm_sq N).
+    Raises NulledUserError when _nulled flags any form: the multicast rate
+    is then zero and optimizers must treat the configuration as worst-case.
+    quadratic_forms passes f (norm_sq 1), the surrogate objectives pass phi
+    (norm_sq N).
     """
     if v.size != ensemble.N:
         raise ValueError(f"phase vector has {v.size} entries, ensemble has N={ensemble.N}")
-    q = np.real(np.einsum("i,kij,j->k", np.conj(v), ensemble.correlations, v))
-    traces = np.real(np.trace(ensemble.correlations, axis1=1, axis2=2))
-    nulled = q <= _NULL_EPS * traces / (ensemble.N / norm_sq)
+    q = _forms(ensemble, v)
+    nulled = _nulled(ensemble, q, norm_sq)
     if np.any(nulled):
         raise NulledUserError(f"users {np.nonzero(nulled)[0].tolist()} are nulled by the beamformer")
     return q

@@ -416,7 +416,11 @@ def cmd_evaluate(runner: Runner) -> int:
 
 
 def cmd_convergence(runner: Runner) -> int:
-    """Optimizer traces at the first configured SNR."""
+    """Optimizer traces at the first configured SNR.
+
+    The header records the run's flags: whether the GA stalled, and whether
+    rm_cgd converged or its line search failed.
+    """
     cfg = runner.cfg
     snr_db = cfg.snr_db[0]
     ens = runner.ensemble.with_snr_db(snr_db)
@@ -436,7 +440,7 @@ def cmd_convergence(runner: Runner) -> int:
             columns = ["generation", "best", "mean"]
             # the GA's own seed (derived from the run seed) goes under "ga",
             # so it does not overwrite the run seed in the header
-            extra = {"generations": res.generations, "ga": res.metadata}
+            extra = {"generations": res.generations, "stalled": res.stalled, "ga": res.metadata}
         else:
             rows = [
                 {
@@ -448,7 +452,8 @@ def cmd_convergence(runner: Runner) -> int:
                 for i in range(len(res.objective_trace))
             ]
             columns = ["iteration", "objective", "grad_norm", "step"]
-            extra = {"converged": res.converged, "iterations": res.iterations}
+            extra = {"converged": res.converged, "line_search_failed": res.line_search_failed,
+                     "iterations": res.iterations}
         md = runner.metadata({"optimizer": method, "snr_db": snr_db, **extra})
         write_rows(runner.path(f"trace_{method.replace('-', '_')}"), rows, columns, md,
                    runner.fmt)

@@ -10,31 +10,29 @@ uniform crossover with probability CROSSOVER_RATE, Gaussian mutation of each
 gene with probability 1/N and std MUTATION_SCALE radians, shrunk by
 MUTATION_DECAY per generation, and ELITISM_COUNT elites. A run stops once the
 best fitness gains no more than STALL_TOL over STALL_GENERATIONS generations;
-GaConfig sets only the population, the generation limit and the seed. Fitness
-evaluations within a generation are independent (parallelizable); the
-reference implementation evaluates them sequentially, and all randomness
-comes from a single seeded generator, so runs are reproducible. Each
-distinct phase vector of a generation is scored once: elites and children
-left unchanged by crossover and mutation repeat a vector of the generation
-before, and take its fitness from there. Only that generation's scores are
-kept, so the memory stays proportional to the population.
+GaConfig sets only the population, the generation limit and the seed. All
+randomness comes from a single seeded generator, so runs are reproducible.
+Each distinct phase vector of a generation is scored once: elites and
+children left unchanged by crossover and mutation repeat a vector of the
+generation before, and take its fitness from there. Only that generation's
+scores are kept, so the memory stays proportional to the population. The
+new vectors of a generation are scored together (_scores), with one
+nulled-user test and one MI lookup for all of them; their quadratic forms,
+gamma-series laws and rate sums are taken row by row. Every score is bitwise
+the fitness of its vector scored alone, so the batch changes no trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amr import amr_coop
-from .channel_model import (
-    ChannelEnsemble,
-    NulledUserError,
-    PhaseVector,
-    effective_snrs,
-    mrc_law,
-    wrap_phase,
-)
+# amr_coop is not called here but stays importable: bench/layers.py wraps
+# genetic_opt.amr_coop, and reads an absent name as a missing layer
+from .amr import _RATE_NODES, _coop_rate, amr_coop  # noqa: F401
+from .channel_model import ChannelEnsemble, PhaseVector, _forms, _nulled, mrc_law, wrap_phase
 
 __all__ = ["GaConfig", "GaResult", "fitness", "ga_optimize"]
 
@@ -68,11 +66,26 @@ def fitness(phases: PhaseVector, ensemble: ChannelEnsemble, info) -> float:
 
     A beamformer that nulls any user gets worst-case fitness 0.
     """
-    try:
-        gammas = effective_snrs(ensemble, phases)
-    except NulledUserError:
-        return 0.0
-    return amr_coop(info, mrc_law(gammas, SERIES_TOL))
+    return float(_scores(phases.thetas[None, :], ensemble, info)[0])
+
+
+def _scores(thetas: np.ndarray, ensemble: ChannelEnsemble, info) -> np.ndarray:
+    """Fitness of each row of ``thetas`` (P, N), phases wrapped as PhaseVector holds them.
+
+    Each score is bitwise amr_coop(info, mrc_law(gammas, SERIES_TOL)) at the
+    row's effective SNRs, or 0 when the row nulls a user. The forms are
+    quadratic_forms' per-vector einsum, row by row: one "pi,kij,pj->pk"
+    einsum sums in another order at some shapes (K = 1, N = 2).
+    """
+    f = np.exp(-1j * thetas) / math.sqrt(thetas.shape[1])
+    q = np.array([_forms(ensemble, v) for v in f]).reshape(-1, ensemble.K)
+    live = ~_nulled(ensemble, q, 1.0).any(axis=1)
+    laws = [mrc_law(gammas, SERIES_TOL) for gammas in ensemble.gamma_bar * q[live]]
+    nodes = np.array([law.gamma_min for law in laws])[:, None] * _RATE_NODES
+    mi = info.mi(nodes.ravel()).reshape(nodes.shape)
+    out = np.zeros(thetas.shape[0])
+    out[live] = [_coop_rate(law, row, info.constellation.bits) for law, row in zip(laws, mi)]
+    return out
 
 
 @dataclass
@@ -101,13 +114,14 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
     def evaluate(population: np.ndarray, last: dict) -> tuple[np.ndarray, dict]:
         """Fitness per row, and the scores by phase bytes to pass as the next ``last``.
 
-        A row already scored in this population or in ``last`` is not scored again.
+        A row scored in ``last`` is not scored again; the distinct other rows
+        are wrapped and scored in one _scores call.
         """
         keys = [ind.tobytes() for ind in population]
-        scores: dict = {}
-        for key, ind in zip(keys, population):
-            if key not in scores:
-                scores[key] = last[key] if key in last else fitness(PhaseVector(ind), ensemble, info)
+        scores = {key: last[key] for key in keys if key in last}
+        new = {key: ind for key, ind in zip(keys, population) if key not in scores}
+        rows = wrap_phase(np.reshape(list(new.values()), (-1, n)))
+        scores.update(zip(new, _scores(rows, ensemble, info)))
         return np.asarray([scores[key] for key in keys]), scores
 
     def tournament(fits: np.ndarray) -> int:

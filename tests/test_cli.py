@@ -83,6 +83,20 @@ def test_config_sha256_is_the_hash_of_the_resolved_config(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_convergence_header_records_the_optimizer_flags(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**TINY, "ga": {"population": 8, "max_generations": 200}}))
+    assert run(["convergence", "--optimizer", "ga", "--optimizer", "rmcgd-f1", "--config", str(path),
+                "--seed", "1", "--out", str(tmp_path)]) == 0
+    meta, _, rows = _read_csv(tmp_path / "trace_ga.csv")
+    # a GA run ends before its generation limit only by stalling
+    assert meta["stalled"] is True and meta["generations"] == len(rows) < 200
+    meta, _, rows = _read_csv(tmp_path / "trace_rmcgd_f1.csv")
+    assert meta["iterations"] == len(rows) - 1 < 200
+    # rm_cgd stops early by converging or on a failed line search, never both
+    assert {meta["converged"], meta["line_search_failed"]} == {True, False}
+
+
 def _config_error(capsys, args):
     """The field of the structured config error that ``run(args)`` reports."""
     assert run(args) == 1

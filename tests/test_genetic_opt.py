@@ -1,7 +1,10 @@
 import inspect
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amrbeam import genetic_opt
 from amrbeam import (
@@ -16,6 +19,7 @@ from amrbeam import (
     make_ensemble,
     mrc_law,
     rm_cgd,
+    wrap_phase,
 )
 
 
@@ -66,19 +70,21 @@ def test_elitism_monotone_and_deterministic(table_qam4):
 def test_each_phase_vector_is_scored_once_per_pair_of_generations(monkeypatch, table_qam4):
     e = make_ensemble(4, 5, 0.0, seed=12)
     cfg = GaConfig(population=30, max_generations=12, seed=9)
-    generations = []  # per generation: its population and the rows scored
+    generations = []  # per scorer call: the population it scores and the rows scored
 
-    def counting(phases, ensemble, info):
-        # the caller is ga_optimize's evaluate, scoring the rows of `population`
+    def counting(thetas, ensemble, info):
+        # the caller is ga_optimize's evaluate, scoring rows of `population`
         population = inspect.currentframe().f_back.f_locals["population"]
-        if not generations or generations[-1][0] is not population:
-            generations.append((population, []))
-        generations[-1][1].append(phases.thetas.tobytes())
-        return fitness(phases, ensemble, info)
+        generations.append((population, [row.tobytes() for row in thetas]))
+        return scores(thetas, ensemble, info)
 
-    monkeypatch.setattr(genetic_opt, "fitness", counting)
+    scores = genetic_opt._scores
+    monkeypatch.setattr(genetic_opt, "_scores", counting)
     res = ga_optimize(e, table_qam4, cfg)
+    monkeypatch.undo()  # fitness below scores through _scores too
+    # one scorer call per generation, each on a new population
     assert len(generations) == res.generations == 12
+    assert len({id(population) for population, _ in generations}) == 12
     calls = 0
     last = set()
     for g, (population, scored) in enumerate(generations):
@@ -92,6 +98,53 @@ def test_each_phase_vector_is_scored_once_per_pair_of_generations(monkeypatch, t
         assert res.best_per_generation[g] == max(fits)
         assert res.mean_per_generation[g] == np.mean(fits)
     assert calls < cfg.population * res.generations
+
+
+@st.composite
+def _batches(draw):
+    """(ensemble, raw phase rows) with repeated rows and entries at -pi and pi."""
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    n = draw(st.sampled_from([1, 2, 5, 16]))
+    ensemble = make_ensemble(k, n, draw(st.floats(-20.0, 20.0)), seed=draw(st.integers(0, 2**16)))
+    # hypothesis draws the shapes; the angles and the repeats come from a drawn
+    # seed, as hypothesis's own floats and indices favour round values and
+    # the first row, whose forms sum alike in any order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.uniform(-4.0, 4.0, (draw(st.integers(1, 12)), n))
+    ends = rng.random(distinct.shape) < 0.2
+    distinct[ends] = rng.choice([-np.pi, np.pi], ends.sum())
+    return ensemble, distinct[rng.integers(0, len(distinct), draw(st.integers(1, 16)))]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(batch=_batches(), order=st.randoms(use_true_random=False))
+# K = 1, N = 2 with many rows: one batched einsum would sum these forms in
+# another order than the per-vector one
+@example(batch=(make_ensemble(1, 2, 0.0, seed=0), np.random.default_rng(0).uniform(-4.0, 4.0, (16, 2))),
+         order=random.Random(0))
+def test_batch_scores_are_the_fitness_of_each_row(table_qam4, batch, order):
+    ensemble, rows = batch
+    perm = list(range(len(rows)))
+    order.shuffle(perm)
+    for batch_rows in (rows, rows[perm], rows[:1]):
+        got = genetic_opt._scores(wrap_phase(batch_rows), ensemble, table_qam4)
+        want = [fitness(PhaseVector(row), ensemble, table_qam4) for row in batch_rows]
+        assert got.tolist() == want
+
+
+def test_a_nulled_row_scores_zero_and_leaves_its_neighbours(table_qam4, rng):
+    # rank one: R = a a^H, so a row whose f is orthogonal to a nulls the user
+    a = np.array([1.0, -1.0], dtype=complex)
+    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
+    rows = np.vstack([rng.uniform(-np.pi, np.pi, (3, 2)), [[0.0, 0.0]], [[np.pi, -np.pi]],
+                      rng.uniform(-np.pi, np.pi, (2, 2))])
+    got = genetic_opt._scores(wrap_phase(rows), e, table_qam4)
+    assert got[3] == got[4] == 0.0
+    assert np.all(np.delete(got, [3, 4]) > 0.0)
+    for p, row in enumerate(rows):
+        assert got[p] == fitness(PhaseVector(row), e, table_qam4)
+    alone = genetic_opt._scores(wrap_phase(np.delete(rows, [3, 4], axis=0)), e, table_qam4)
+    assert alone.tolist() == np.delete(got, [3, 4]).tolist()
 
 
 def test_ga_matches_manifold_optimum_rank_one(table_qam4, rng):
