@@ -564,6 +564,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="amrbeam",
         description="Finite-alphabet multicast rate evaluation and beamformer optimization",
     )
+    # the options every subcommand takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--seed", type=int, required=True, help="run seed (reproducibility)")
+    shared.add_argument("--out", default=".", help="output directory")
+    shared.add_argument("--format", choices=("csv", "json"), default="csv")
+    shared.add_argument("--mc-samples", type=int, default=None)
+    shared.add_argument("--snr-db", default=None,
+                        help="start:stop:step range or comma list, overrides config; a "
+                             "negative value may follow a space (--snr-db -30:10:5) or "
+                             "'=' (--snr-db=-10,0,10)")
+    shared.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
+    shared.add_argument("--optimizer", action="append", choices=OPTIMIZERS, default=None,
+                        help="repeatable; overrides the config optimizer list")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("evaluate", "rate table over the SNR grid per optimizer and scenario"),
@@ -571,19 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("asymptotics", "saturation-gap table with fitted decay slopes"),
         ("validate", "Monte Carlo oracle agreement report"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, required=True, help="run seed (reproducibility)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mc-samples", type=int, default=None)
-        p.add_argument("--snr-db", default=None,
-                       help="start:stop:step range or comma list, overrides config; a "
-                            "negative value may follow a space (--snr-db -30:10:5) or "
-                            "'=' (--snr-db=-10,0,10)")
-        p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
-        p.add_argument("--optimizer", action="append", choices=OPTIMIZERS, default=None,
-                       help="repeatable; overrides the config optimizer list")
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

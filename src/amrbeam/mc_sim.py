@@ -17,13 +17,18 @@ chunk size. Estimates are therefore bitwise reproducible for a given
 (seed, n), and an estimate does not depend on which other SNRs or scenarios
 share its draws. Estimates that share draws have correlated errors.
 
-The working set is fixed, whatever ran before in the process. Every draw
-chunk fills one reused buffer of _DRAW_NORMALS doubles (1 MB). The values of
-a reduction chunk fill one reused buffer, through interpolant calls on
+The working set is fixed, whatever ran before in the process. While drawing
+it is one reused buffer of _DRAW_NORMALS doubles (512 KB) and the n-long
+minimum and sum columns; while reducing, the columns and one reused value
+buffer of min(n, _CHUNK) doubles (up to 1 MB). From 2^16 samples on the
+value buffer is the larger, so the draws do not set the peak. Each draw chunk's gains go straight into the columns: the minimum as
+K - 1 elementwise minima of its user columns, the sum as numpy's row sum. A
+reduction chunk's values fill the value buffer through interpolant calls on
 blocks of _BLOCK samples, whose temporaries (64 KB each) stay below glibc's
-default mmap threshold. Fresh multi-megabyte chunks instead land in the heap
-or in new mappings depending on the threshold that earlier frees have set,
-and a process could then hold two draw chunks at once. The interpolant is
+default mmap threshold; once the values are summed, their squares overwrite
+them. Fresh multi-megabyte chunks instead land in the heap or in new
+mappings depending on the threshold that earlier frees have set, and a
+process could then hold two draw chunks at once. The interpolant is
 elementwise and the reduction chunks are unchanged, so the block size does
 not change any sum.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,11 +50,28 @@ _CHUNK = 1 << 17
 # samples per interpolation call: its temporaries (64 KB each) stay below
 # glibc's mmap threshold, so they reuse heap instead of faulting in new pages
 _BLOCK = 1 << 13
-# real normals per draw chunk (1 MB), whatever K and N are
-_DRAW_NORMALS = 1 << 17
+# real normals per draw chunk (512 KB), whatever K and N are; the draws do not
+# depend on it
+_DRAW_NORMALS = 1 << 16
 
 _SCENARIOS = ("non_cooperative", "cooperative")
-_REDUCE = {"non_cooperative": np.min, "cooperative": np.sum}
+
+
+def _min_over_users(gains: np.ndarray, *, out: np.ndarray) -> None:
+    """np.min(gains, axis=1) into ``out``, as K - 1 column minima.
+
+    A minimum is exact in any order, so this is bitwise numpy's reduction, at
+    about a tenth of its cost on the short rows of a draw chunk.
+    """
+    out[:] = gains[:, 0]
+    for k in range(1, gains.shape[1]):
+        np.minimum(out, gains[:, k], out=out)
+
+
+# The sum stays numpy's row sum, not a chain of column additions: numpy adds a
+# row of 8 or more users in interleaved partial sums, so a chain matched it
+# bitwise for K <= 7 but not for K = 8, 9, 16 or 32.
+_REDUCE = {"non_cooperative": _min_over_users, "cooperative": partial(np.sum, axis=1)}
 
 
 @dataclass(frozen=True)
@@ -81,18 +104,19 @@ def _gain_chunks(ensemble: ChannelEnsemble, phases: PhaseVector, n: int, seed: i
 
 
 def _estimate(info, gamma_bar: float, snr: np.ndarray, seed: int, work: np.ndarray) -> McEstimate:
-    """Mean MI at gamma_bar * snr; ``work`` holds 2 x min(n, _CHUNK) doubles."""
+    """Mean MI at gamma_bar * snr; ``work`` holds min(n, _CHUNK) doubles."""
     n = len(snr)
     sums = []
     sq_sums = []
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        vals, sq = work[:, : stop - start]
+        vals = work[: stop - start]
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
             vals[lo - start : hi - start] = info.mi(gamma_bar * snr[lo:hi])
         sums.append(float(vals.sum()))
-        sq_sums.append(float(np.square(vals, out=sq).sum()))
+        # the values are summed, so their squares may replace them
+        sq_sums.append(float(np.square(vals, out=vals).sum()))
     mean = math.fsum(sums) / n
     var = max(math.fsum(sq_sums) - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
@@ -128,9 +152,9 @@ def mc_amr(
     for gains in _gain_chunks(ensemble, phases, n, seed):
         stop = start + len(gains)
         for s, col in reduced.items():
-            col[start:stop] = _REDUCE[s](gains, axis=1)
+            _REDUCE[s](gains, out=col[start:stop])
         start = stop
-    work = np.empty((2, min(n, _CHUNK)))
+    work = np.empty(min(n, _CHUNK))
     return {
         s: tuple(_estimate(info, float(gb), col, seed, work) for gb in gamma_bars)
         for s, col in reduced.items()

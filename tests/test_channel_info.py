@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -224,6 +225,79 @@ def test_table_refuses_a_grid_not_uniform_in_log10(table_qam4):
     assert InfoTable(snr_grid=uniform, **values, **fields).mi(uniform[1]) == pytest.approx(0.2)
 
 
+def _clipped_lookup(table, gamma):
+    """InfoTable.mi as it was first written: the SNR clipped to the grid before the log."""
+    g = np.asarray(gamma, dtype=float)
+    scalar = g.ndim == 0
+    g = np.atleast_1d(g)
+    lo, hi = table.snr_grid[0], table.snr_grid[-1]
+    u = np.log10(np.minimum(np.maximum(g, lo), hi))
+    knots = table._knots
+    i = ((u - knots[0]) * table._per_step).astype(np.intp)
+    np.maximum(i, 0, out=i)
+    np.minimum(i, knots.size - 2, out=i)
+    s = u - knots[i]
+    c3, c2, c1, c0 = table._cubics
+    out = ((c3[i] * s + c2[i]) * s + c1[i]) * s + c0[i]
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, table.constellation.bits, out=out)
+    out = np.where(g < lo, g * (table.mi_values[0] / lo), out)
+    out[g > hi] = table.constellation.bits
+    return float(out[0]) if scalar else out
+
+
+# inputs that are not positive or not finite: 0, a subnormal, a negative value, +-inf, NaN
+_SPECIAL_SNRS = [0.0, 5e-324, -1.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _table_and_snrs(draw):
+    """A table on a uniform log10 grid, and SNRs below, on, between and above its knots."""
+    n = draw(st.integers(2, 40))
+    u0 = draw(st.floats(-5.0, 3.0))
+    step = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(_seed))
+    grid = 10.0 ** (u0 + step * np.arange(n))
+    mi = np.cumsum(rng.uniform(0.0, 1.0, n))
+    table = InfoTable(constellation=make_qam(4), snr_grid=grid,
+                      mi_values=2.0 * mi / (mi[-1] + rng.uniform(0.0, 1.0)),
+                      mmse_values=rng.uniform(1e-6, 2.0, n))
+    edge = st.sampled_from([grid[0], grid[-1]])
+    factor = st.sampled_from([1e-300, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0, 1e300])
+    snrs = draw(st.lists(st.one_of(
+        st.builds(lambda e, f: e * f, edge, factor),
+        st.sampled_from(grid.tolist()),
+        st.floats(u0 - 3.0, u0 + step * (n - 1) + 3.0).map(lambda x: 10.0**x),
+        st.sampled_from(_SPECIAL_SNRS),
+    ), min_size=1, max_size=30))
+    return table, np.array(snrs)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_table_and_snrs())
+def test_table_mi_is_the_clipped_lookup_bitwise(case):
+    # the lookup takes the log of the raw SNR, since the branches off the
+    # grid overwrite every value there, and warns about none of the inputs
+    table, snrs = case
+    with np.errstate(invalid="ignore"):  # the clipped form's cast warns on NaN
+        expected = _clipped_lookup(table, snrs)
+        expected_scalars = [_clipped_lookup(table, g) for g in snrs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table.mi(snrs)
+        got_scalars = [table.mi(g) for g in snrs]
+        got_specials = table.mi(np.array(_SPECIAL_SNRS))
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert all(type(v) is float for v in got_scalars)
+    assert np.array_equal(_bits(got_scalars), _bits(expected_scalars))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(got_specials), _bits(_clipped_lookup(table, _SPECIAL_SNRS)))
+
+
 def test_table_interpolation_accuracy(table_qam4, qam4, rng):
     gammas = 10.0 ** rng.uniform(-3.9, 3.9, 100)
     direct = mi_curve(qam4, gammas, band_order=200)
@@ -350,6 +424,61 @@ def test_structure_reductions():
                 sizes.append(weights.size)
             found += [(None if stabilizer is None else len(stabilizer), *sizes)] * copies
         assert found == folds, c.label
+
+
+def _tensor_folded_rule(order, stabilizer, floor):
+    """_folded_rule as it was first written: n^2-long index arrays over the float tensor grid."""
+    (x,), w = channel_info._noise_rule(order)
+    n = order
+    weights = np.outer(w, w).ravel()
+    i, j = np.divmod(np.arange(n * n), n)
+    label = np.arange(n * n)
+    for s in stabilizer:
+        a, b = (i, n - 1 - j) if s >= 4 else (i, j)
+        for _ in range(s % 4):
+            a, b = n - 1 - b, a
+        np.minimum(label, a * n + b, out=label)
+    size = np.bincount(label, minlength=n * n)
+    keep = (size > 0) & (weights >= floor)
+    return np.stack((x[i[keep]], x[j[keep]])), weights[keep] * size[keep]
+
+
+def _stabilizers(*alphabets):
+    return sorted({block[3] for c in alphabets for block in _blocks(c.points.tobytes(), c.d_min)
+                   if block[3] is not None})
+
+
+_PSK8_AND_ORIGIN = make_custom(np.concatenate(([0.0], np.exp(2j * np.pi * np.arange(8) / 8))))
+
+
+@pytest.mark.parametrize("order", [40, 120, 200])
+@pytest.mark.parametrize("floor", [0.0, _WEIGHT_FLOOR])
+def test_folded_rule_is_the_tensor_construction_bitwise(order, floor):
+    # BPSK takes the 1-D axis blocks, so it adds no stabilizer of its own; the
+    # PSK points are fixed by one reflection or none, the origin by all 8
+    stabilizers = _stabilizers(make_psk(2), make_psk(8), make_psk(16), _PSK8_AND_ORIGIN)
+    assert stabilizers == [(0,), tuple(range(8)), (0, 4), (0, 5)]
+    for stabilizer in stabilizers:
+        nodes, weights = channel_info._folded_rule.__wrapped__(order, stabilizer, floor)
+        ref_nodes, ref_weights = _tensor_folded_rule(order, stabilizer, floor)
+        assert np.array_equal(nodes, ref_nodes), stabilizer
+        assert np.array_equal(weights, ref_weights), stabilizer
+
+
+@pytest.mark.parametrize("floor, bound_mb", [(0.0, 1.7), (_WEIGHT_FLOOR, 1.1)])
+def test_folded_rule_memory_at_order_200(floor, bound_mb):
+    # 8-PSK's two rules at order 200 peak at 1.46 MB (floor 0) and 0.92 MB
+    # (floor 1e-40, the in-band rules of a table) measured, results included;
+    # the bounds add about 0.2 MB. The tensor construction peaks at 2.7 and
+    # 2.1 MB.
+    for stabilizer in _stabilizers(make_psk(8)):
+        tracemalloc.start()
+        try:
+            channel_info._folded_rule.__wrapped__(200, stabilizer, floor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, stabilizer
 
 
 # z -> j^k z and z -> j^k conj(z); a generator set closes into a subgroup

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from amrbeam import amr, channel_info
-from amrbeam.cli import SCENARIOS, ConfigError, ExperimentConfig, parse_snr, run
+from amrbeam.cli import SCENARIOS, ConfigError, ExperimentConfig, build_parser, parse_snr, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -387,3 +388,30 @@ def test_cli_run_path_loads_no_scipy(tiny_config, tmp_path):
     for name in ("evaluate/amr_table.csv", "asymptotics/gaps.csv", "validate/validation.csv",
                  "convergence/trace_ga.csv"):
         assert (tmp_path / name).is_file()
+
+
+# every subcommand's options: (option strings, dest, default, choices, required,
+# type, action class), as each subcommand declared them on its own
+_OPTIONS = [
+    (["-h", "--help"], "help", argparse.SUPPRESS, None, False, None, argparse._HelpAction),
+    (["--config"], "config", None, None, False, None, argparse._StoreAction),
+    (["--seed"], "seed", None, None, True, int, argparse._StoreAction),
+    (["--out"], "out", ".", None, False, None, argparse._StoreAction),
+    (["--format"], "format", "csv", ("csv", "json"), False, None, argparse._StoreAction),
+    (["--mc-samples"], "mc_samples", None, None, False, int, argparse._StoreAction),
+    (["--snr-db"], "snr_db", None, None, False, None, argparse._StoreAction),
+    (["--scenario"], "scenario", None, ["both", "coop", "noncoop"], False, None,
+     argparse._StoreAction),
+    (["--optimizer"], "optimizer", None, ("rmcgd-f1", "rmcgd-f2", "ga", "random"), False, None,
+     argparse._AppendAction),
+]
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["evaluate", "convergence", "asymptotics", "validate"]
+    for name, p in sub.choices.items():
+        got = [(a.option_strings, a.dest, a.default, a.choices, a.required, a.type, type(a))
+               for a in p._actions]
+        assert got == _OPTIONS, name

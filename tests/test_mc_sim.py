@@ -146,11 +146,33 @@ def test_grid_means_monotone_and_coop_dominates(table_qam4, rng):
     assert non[0] < non[-1] and coop[0] < coop[-1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 32])
+def test_user_reductions_are_numpys_bitwise(k, rng):
+    # The minimum is exact in any order, so its column chain is np.min's
+    # result for every K. The sum stays np.sum: numpy adds a row of 8 or more
+    # users in interleaved partial sums, and a chain of column additions
+    # matched it bitwise only up to K = 7.
+    e = make_ensemble(k, 4, 0.0, seed=k)
+    p = PhaseVector.random(4, rng)
+    chunks = 0
+    for gains in mc_sim._gain_chunks(e, p, 20_000, seed=3):
+        out = np.empty(len(gains))
+        mc_sim._REDUCE["non_cooperative"](gains, out=out)
+        assert np.array_equal(out, np.min(gains, axis=1))
+        mc_sim._REDUCE["cooperative"](gains, out=out)
+        assert np.array_equal(out, np.sum(gains, axis=1))
+        chunks += 1
+    assert chunks > 1
+
+
 def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
-    # The draw buffer (1 MB of normals), 2 doubles per sample (1.6 MB) and the
-    # reduction's 2 x 1e5 doubles (1.6 MB): 3.5 MB measured. Keeping a
-    # 1e5-sample array per SNR of one scenario would add 21 x 0.8 MB, and an
-    # 8 MB draw chunk would break the bound on its own.
+    # 2 doubles per sample (1.6 MB), the value buffer of 1e5 doubles (0.8 MB)
+    # and the interpolation temporaries of 64 KB each: 2.68 MB measured. The
+    # bound adds 0.32 MB, five more such temporaries. The draw buffer (512 KB)
+    # is gone by then. A second value buffer (the former 2 x 1e5 work array)
+    # would read 3.4 MB, keeping a 1e5-sample array per SNR of one scenario
+    # would add 21 x 0.8 MB, and an 8 MB draw chunk would break the bound on
+    # its own.
     e = make_ensemble(32, 128, 0.0, model="local_scattering", seed=3)
     p = PhaseVector.random(128, rng)
     e.sqrt_correlations()  # cached on the ensemble; not part of the MC cost
@@ -161,4 +183,4 @@ def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
     finally:
         tracemalloc.stop()
     assert all(len(ests) == len(GRID_DB) for ests in grid.values())
-    assert peak < 6 * 2**20
+    assert peak < 3.0 * 2**20
