@@ -2,8 +2,7 @@
 
 Non-cooperative transmission is limited by the weakest user, so the rate
 averages the scalar mutual information against the exponential law of the
-minimum SNR; the module's one 50-node Gauss-Laguerre rule (numpy's
-laggauss, like the far-tail rules below) turns that into
+minimum SNR; the module's one 50-node Gauss-Laguerre rule turns that into
 sum_t w_t mi(gamma_non v_t). Cooperative reception sums the per-user SNRs,
 and the rate averages against the gamma-series law on the same nodes, giving
 a double sum over series terms and quadrature nodes with all gamma-function
@@ -34,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel_info import _BAND, mi_curve, mmse_curve
+from .channel_info import _BAND, _shipped_rule, mi_curve, mmse_curve
 from .channel_model import (
     ChannelEnsemble,
     MrcLaw,
@@ -55,16 +54,35 @@ __all__ = [
 ]
 
 
+# Gauss-Laguerre orders of the rate averages, the Mellin far tail and its
+# self-check
+_RATE_ORDER = 50
+_TAIL_ORDER = 150
+_TAIL_CHECK_ORDER = 100
+# the Laguerre orders shipped in amrbeam/rules
+_SHIPPED_LAGUERRE = (_RATE_ORDER, _TAIL_ORDER, _TAIL_CHECK_ORDER)
+
+
 @lru_cache(maxsize=None)
 def _laguerre_rule(order: int):
-    """numpy's Gauss-Laguerre rule (nodes, weights) for int_0^inf f(x) e^{-x} dx, read-only."""
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    """Gauss-Laguerre rule (nodes, weights) for int_0^inf f(x) e^{-x} dx, read-only.
+
+    It is numpy's laggauss at that order: loaded from its shipped file for
+    the orders in _SHIPPED_LAGUERRE (see channel_info._shipped_rule),
+    computed for any other.
+    """
+    if order in _SHIPPED_LAGUERRE:
+        nodes, weights = _shipped_rule(f"laguerre_{order}")
+    else:
+        from numpy.polynomial.laguerre import laggauss
+
+        nodes, weights = laggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
 # the rate averages' Gauss-Laguerre rule, with the logs amr_coop sums in
-_RATE_NODES, _RATE_WEIGHTS = _laguerre_rule(50)
+_RATE_NODES, _RATE_WEIGHTS = _laguerre_rule(_RATE_ORDER)
 _LOG_NODES = np.log(_RATE_NODES)
 _LOG_WEIGHTS = np.log(_RATE_WEIGHTS)
 # K -> amr_coop's rows for the terms l = 0, 1, ..., see _erlang_rows
@@ -124,18 +142,14 @@ def _coop_rate(law: MrcLaw, mi: np.ndarray, bits: float) -> float:
 # 4 / (_PANELS_PER_DECADE * alpha). See mellin_mmse.
 _PANELS_PER_DECADE = 8
 _PANEL_NODES = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
+# numpy's leggauss(8) as rows 0 and 1, then legvander(nodes, 7), row i holding
+# P_0..P_7 at node i
+_GL_FILE = _shipped_rule(f"legendre_{_PANEL_NODES}")
+_GL_NODES, _GL_WEIGHTS = _GL_FILE[:2]
 # Legendre coefficients a_k of the degree-7 interpolant from its values at the
 # Gauss nodes: a_k = (2k + 1) / 2 * sum_i w_i f(x_i) P_k(x_i)
-_GL_TO_LEGENDRE = (
-    np.polynomial.legendre.legvander(_GL_NODES, _PANEL_NODES - 1)
-    * _GL_WEIGHTS[:, None]
-    * (np.arange(_PANEL_NODES) + 0.5)
-)
+_GL_TO_LEGENDRE = _GL_FILE[2:] * _GL_WEIGHTS[:, None] * (np.arange(_PANEL_NODES) + 0.5)
 _MELLIN_RTOL = 1e-8
-# Gauss-Laguerre orders of the Mellin far tail and of its self-check
-_TAIL_ORDER = 150
-_TAIL_CHECK_ORDER = 100
 # ln of the largest double: math.exp of anything larger overflows
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 # alphabet -> the node set, see _mellin_nodes

@@ -10,8 +10,8 @@ estimation error E{|X - E[X|Y]|^2} divided by ln 2, so
 holds without unit bookkeeping downstream. (In natural units the zero-SNR limit
 of the raw error is E|X|^2 = 1; in this bit convention it is 1/ln 2.)
 
-The complex-plane integrals are Gauss-Hermite sums, on numpy's hermgauss
-rules, after shifting the integration variable to the noise,
+The complex-plane integrals are Gauss-Hermite sums after shifting the
+integration variable to the noise,
 u = sqrt(g) x_m + n, which leaves a smooth log-sum-exp of likelihood ratios
 against the standard complex Gaussian measure.
 The reference sum is the tensor product of two rules, one per real dimension,
@@ -82,14 +82,29 @@ The Gauss-Hermite order is a constant of this module, _HERMITE_ORDER (40),
 not a parameter of the evaluators. For g * d_min^2 in _BAND, (1.5, 130), the
 integrand develops decision-boundary layers of width ~ 1/(sqrt(g) d_min) that
 a fixed-order rule under-resolves, so there the evaluators use the band order
-instead (120 by default, 200 for tables). Outside the band the boundary
-contributions are below double precision and _HERMITE_ORDER is used as-is.
+instead (_BAND_ORDER, 120, by default; _TABLE_ORDER, 200, for tables).
+Outside the band the boundary contributions are below double precision and
+_HERMITE_ORDER is used as-is.
+
+The package's Gauss rules are constants, so they ship as package data, one
+.npy file per rule in amrbeam/rules (_shipped_rule), holding exactly the
+arrays numpy 2.4.6's generator returns at that order: Hermite 40, 120 and
+200 here, Laguerre 50, 100 and 150 and Legendre 8 in amr. No run computes a
+rule, so the outputs no longer depend on numpy's quadrature code. An order
+that is not shipped, which only the tests ask for, comes from numpy.polynomial,
+imported for that call alone. To regenerate a file, save numpy's arrays
+stacked, e.g. for hermite_200.npy
+
+    np.save("hermite_200.npy", np.stack(np.polynomial.hermite.hermgauss(200)))
+
+(legendre_8.npy adds the rows of legvander(nodes, 7) below the rule).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -127,6 +142,19 @@ _WEIGHT_FLOOR = 1e-40
 
 # Gauss-Hermite order of the rules outside the band
 _HERMITE_ORDER = 40
+# The curves' default band order, and the tables' (make_correlation takes the
+# same rule)
+_BAND_ORDER = 120
+_TABLE_ORDER = 200
+# The Hermite orders shipped in amrbeam/rules
+_SHIPPED_HERMITE = (_HERMITE_ORDER, _BAND_ORDER, _TABLE_ORDER)
+
+_RULES_DIR = os.path.join(os.path.dirname(__file__), "rules")
+
+
+def _shipped_rule(name: str) -> np.ndarray:
+    """The array of amrbeam/rules/<name>.npy: a rule's nodes and weights as rows."""
+    return np.load(os.path.join(_RULES_DIR, name + ".npy"))
 
 
 @lru_cache(maxsize=32)
@@ -134,10 +162,17 @@ def _noise_rule(hermite_order: int):
     """Gauss-Hermite rule for one real dimension of CN(0, 1) noise, N(0, 1/2).
 
     Its density is exp(-x^2) / sqrt(pi). Returns (nodes, weights): nodes as a
-    (1, order) array, weights summing to 1, both from numpy's hermgauss, which
-    makes them exactly symmetric. They are read-only: every caller shares them.
+    (1, order) array, weights summing to 1. The e^{-x^2} rule is numpy's
+    hermgauss at that order, loaded from its shipped file for the orders in
+    _SHIPPED_HERMITE and computed for any other; hermgauss makes it exactly
+    symmetric. Both arrays are read-only: every caller shares them.
     """
-    x, w = np.polynomial.hermite.hermgauss(hermite_order)
+    if hermite_order in _SHIPPED_HERMITE:
+        x, w = _shipped_rule(f"hermite_{hermite_order}")
+    else:
+        from numpy.polynomial.hermite import hermgauss
+
+        x, w = hermgauss(hermite_order)
     nodes, weights = x[None, :], w / math.sqrt(math.pi)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -359,7 +394,7 @@ def _curves(c: Constellation, gammas, *, band_order: int):
     return _LAST_PASS[key]
 
 
-def mi_curve(c: Constellation, gammas, *, band_order: int = 120) -> np.ndarray:
+def mi_curve(c: Constellation, gammas, *, band_order: int = _BAND_ORDER) -> np.ndarray:
     """Mutual information in bits at each SNR of ``gammas`` (linear, >= 0).
 
     ``band_order`` sets the boundary-layer escalation target; raise it when
@@ -368,7 +403,7 @@ def mi_curve(c: Constellation, gammas, *, band_order: int = 120) -> np.ndarray:
     return _curves(c, gammas, band_order=band_order)[0].copy()
 
 
-def mmse_curve(c: Constellation, gammas, *, band_order: int = 120) -> np.ndarray:
+def mmse_curve(c: Constellation, gammas, *, band_order: int = _BAND_ORDER) -> np.ndarray:
     """Bit-convention MMSE (conditional error / ln 2) at each SNR of ``gammas``.
 
     Underflows to 0.0 once the error drops below double precision.
@@ -426,14 +461,23 @@ class InfoTable:
         self._cubics = np.stack((bend / du, (secant - s[:-1]) / du - bend, s[:-1], y[:-1]))
 
     def mi(self, gamma):
-        """Interpolated mutual information in bits (scalar in, scalar out)."""
+        """Interpolated mutual information in bits (scalar in, scalar out).
+
+        Raises ValueError for a negative, -inf or NaN SNR, as mi_curve does;
+        +inf gives log2(M).
+        """
         g = np.asarray(gamma, dtype=float)
         scalar = g.ndim == 0
         g = np.atleast_1d(g)
+        # the call's one reduction: NaN propagates through it, so "not >= 0"
+        # also refuses NaN; it also tells whether any SNR is below the grid
+        least = g.min(initial=math.inf)
+        if not least >= 0.0:
+            raise ValueError("snr values must be finite and >= 0")
         lo, hi = self.snr_grid[0], self.snr_grid[-1]
         knots = self._knots
         # no clip to the grid: every value off it is overwritten below, so
-        # 0, negative, infinite and NaN inputs may make any value here
+        # 0 and +inf inputs may make any value here
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.log10(g)
             i = ((s - knots[0]) * self._per_step).astype(np.intp)
@@ -451,8 +495,8 @@ class InfoTable:
             out += c0.take(i)
         np.maximum(out, 0.0, out=out)
         np.minimum(out, self.constellation.bits, out=out)
-        below = g < lo
-        if below.any():
+        if least < lo:
+            below = g < lo
             out[below] = g[below] * (self.mi_values[0] / lo)
         out[g > hi] = self.constellation.bits
         return float(out[0]) if scalar else out
@@ -462,7 +506,8 @@ def build_table(c: Constellation, db_min: float, db_max: float, points_per_decad
     """Tabulate both curves on a log-spaced SNR grid.
 
     The grid spans [db_min, db_max] with points_per_decade points per 10 dB.
-    Tabulated values use the highest boundary-layer order, 200, because
+    Tabulated values use the highest boundary-layer order, _TABLE_ORDER (200),
+    because
     averaging quadratures downstream resolve the stored curves to ~1e-9.
     """
     if db_min >= db_max:
@@ -474,8 +519,8 @@ def build_table(c: Constellation, db_min: float, db_max: float, points_per_decad
     snr = 10.0 ** (grid_db / 10.0)
 
     # one kernel pass: mmse_curve reads the pass that mi_curve just made
-    mi = mi_curve(c, snr, band_order=200)
-    mm = mmse_curve(c, snr, band_order=200)
+    mi = mi_curve(c, snr, band_order=_TABLE_ORDER)
+    mm = mmse_curve(c, snr, band_order=_TABLE_ORDER)
     # guard fp wiggle so the stored curves satisfy the monotonicity contract
     mi = np.maximum.accumulate(np.clip(mi, 0.0, c.bits))
     mm = np.minimum.accumulate(np.maximum(mm, _MMSE_FLOOR))

@@ -32,7 +32,7 @@ from operator import add, mul
 import numpy as np
 import numpy.random  # loaded lazily by numpy 2; every CLI command draws from it
 
-from .channel_info import _noise_rule
+from .channel_info import _TABLE_ORDER, _noise_rule
 
 __all__ = [
     "NulledUserError",
@@ -127,8 +127,9 @@ def make_correlation(
     ``exponential``: R[i, j] = rho^|i-j| exp(j (i-j) mu) with 0 <= rho < 1.
     ``local_scattering``: half-wavelength ULA facing a scatterer cluster at
     ``angle`` (radians) with Gaussian angular offsets of std ``spread``;
-    R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), evaluated by
-    numpy's order-200 Gauss-Hermite rule and clipped onto the PSD cone.
+    R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), evaluated by the
+    kernel's shipped order-200 Gauss-Hermite rule (channel_info._noise_rule)
+    and clipped onto the PSD cone.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 antennas, got {n}")
@@ -144,7 +145,7 @@ def make_correlation(
         if angle is None or spread is None or spread <= 0.0:
             raise ValueError("local_scattering model needs angle and spread > 0")
         # delta = sqrt(2) spread x with x ~ N(0, 1/2), the kernel's noise rule
-        (x,), w = _noise_rule(200)
+        (x,), w = _noise_rule(_TABLE_ORDER)
         deltas = math.sqrt(2.0) * spread * x
         sines = np.sin(angle + deltas)
         lags = np.exp(1j * np.pi * np.arange(n)[:, None] * sines[None, :]) @ w
@@ -158,32 +159,45 @@ def make_correlation(
     raise ValueError(f"unknown correlation model {model!r}")
 
 
+def _cleaned(correlations) -> np.ndarray:
+    """The (K, N, N) correlations, checked Hermitian PSD and made exactly Hermitian."""
+    r = np.asarray(correlations, dtype=complex)
+    if r.ndim != 3 or r.shape[1] != r.shape[2]:
+        raise ValueError(f"correlations must be (K, N, N), got {r.shape}")
+    herm_err = np.max(np.abs(r - np.conj(np.transpose(r, (0, 2, 1)))))
+    if herm_err > 1e-12:
+        raise ValueError(f"correlation matrices not Hermitian (residual {herm_err:.2e})")
+    cleaned = np.empty_like(r)
+    for k in range(r.shape[0]):
+        vals, vecs = np.linalg.eigh(r[k])
+        if vals.min() < -1e-10:
+            raise ValueError(f"correlation {k} has eigenvalue {vals.min():.2e} < -1e-10")
+        vals = np.clip(vals, 0.0, None)
+        if vals.sum() <= 0.0:
+            raise ValueError(f"correlation {k} has non-positive trace")
+        m = (vecs * vals) @ vecs.conj().T
+        cleaned[k] = 0.5 * (m + m.conj().T)
+    return cleaned
+
+
 @dataclass(eq=False)
 class ChannelEnsemble:
-    """Per-user correlation matrices plus the average SNR (the statistical CSI)."""
+    """Per-user correlation matrices plus the average SNR (the statistical CSI).
+
+    Every assignment of ``correlations``, the constructor's or a later one,
+    checks and cleans the matrices and resets what derives from them: their
+    traces (the scale of _nulled's threshold) and the square-root cache.
+    """
 
     correlations: np.ndarray
     snr_db: float
 
-    def __post_init__(self):
-        r = np.asarray(self.correlations, dtype=complex)
-        if r.ndim != 3 or r.shape[1] != r.shape[2]:
-            raise ValueError(f"correlations must be (K, N, N), got {r.shape}")
-        herm_err = np.max(np.abs(r - np.conj(np.transpose(r, (0, 2, 1)))))
-        if herm_err > 1e-12:
-            raise ValueError(f"correlation matrices not Hermitian (residual {herm_err:.2e})")
-        cleaned = np.empty_like(r)
-        for k in range(r.shape[0]):
-            vals, vecs = np.linalg.eigh(r[k])
-            if vals.min() < -1e-10:
-                raise ValueError(f"correlation {k} has eigenvalue {vals.min():.2e} < -1e-10")
-            vals = np.clip(vals, 0.0, None)
-            if vals.sum() <= 0.0:
-                raise ValueError(f"correlation {k} has non-positive trace")
-            m = (vecs * vals) @ vecs.conj().T
-            cleaned[k] = 0.5 * (m + m.conj().T)
-        self.correlations = cleaned
-        self._sqrt = None
+    def __setattr__(self, name, value):
+        if name == "correlations":
+            value = _cleaned(value)
+            object.__setattr__(self, "_traces", np.real(np.trace(value, axis1=1, axis2=2)))
+            object.__setattr__(self, "_sqrt", None)
+        object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
@@ -200,8 +214,8 @@ class ChannelEnsemble:
     def with_snr_db(self, snr_db: float) -> "ChannelEnsemble":
         """The same ensemble at another average SNR.
 
-        The copy shares the already cleaned correlations and the square-root
-        cache instead of cleaning them again.
+        The copy shares the already cleaned correlations, their traces and
+        the square-root cache instead of cleaning them again.
         """
         out = copy.copy(self)
         out.snr_db = float(snr_db)
@@ -254,11 +268,11 @@ def _forms(ensemble: ChannelEnsemble, v: np.ndarray) -> np.ndarray:
 def _nulled(ensemble: ChannelEnsemble, q: np.ndarray, norm_sq: float) -> np.ndarray:
     """Which forms q[..., k] of vectors of squared norm ``norm_sq`` null user k.
 
-    A form nulls its user when it is at or below 1e-12 * trace(R_k) * norm_sq / N.
-    _checked_forms and the GA's scorer share this one test.
+    A form nulls its user when it is at or below 1e-12 * trace(R_k) * norm_sq / N,
+    with the traces taken when the correlations were assigned. _checked_forms
+    and the GA's scorer share this one test.
     """
-    traces = np.real(np.trace(ensemble.correlations, axis1=1, axis2=2))
-    return q <= _NULL_EPS * traces / (ensemble.N / norm_sq)
+    return q <= _NULL_EPS * ensemble._traces / (ensemble.N / norm_sq)
 
 
 def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> np.ndarray:
@@ -273,7 +287,7 @@ def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> 
         raise ValueError(f"phase vector has {v.size} entries, ensemble has N={ensemble.N}")
     q = _forms(ensemble, v)
     nulled = _nulled(ensemble, q, norm_sq)
-    if np.any(nulled):
+    if nulled.any():
         raise NulledUserError(f"users {np.nonzero(nulled)[0].tolist()} are nulled by the beamformer")
     return q
 

@@ -22,7 +22,7 @@ from amrbeam import (
     mrc_law,
     wrap_phase,
 )
-from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, MrcLaw, log_gamma_range
+from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, MrcLaw, _nulled, log_gamma_range
 
 
 def test_wrap_phase_edges():
@@ -103,6 +103,28 @@ def test_with_snr_db_shares_the_cleaned_matrices():
     assert e2.snr_db == 10.0 and e.snr_db == 0.0
     assert np.array_equal(e2.correlations, e.correlations)
     assert e2.sqrt_correlations() is root
+
+
+def test_reassigned_correlations_reset_the_traces_and_roots():
+    # a later assignment of correlations cleans them as the constructor does
+    # and resets what derives from them; a copy made before keeps the old ones
+    e = make_ensemble(3, 4, 0.0, seed=1)
+    old_root = e.sqrt_correlations()
+    before = e.with_snr_db(10.0)
+    scaled = 1e6 * e.correlations
+    e.correlations = scaled
+    fresh = ChannelEnsemble(scaled, 0.0)
+    assert e.correlations.tobytes() == fresh.correlations.tobytes()
+    assert e._traces.tobytes() == fresh._traces.tobytes()
+    assert np.allclose(e.sqrt_correlations(), 1e3 * old_root)
+    assert before.sqrt_correlations() is old_root
+    # a form between the old threshold and the new one nulls its user only
+    # under the new one
+    q = 1e-9 * before._traces
+    assert _nulled(e, q, e.N).all() and not _nulled(before, q, before.N).any()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        e.correlations = np.stack([np.array([[1.0, 0.5j], [0.4j, 1.0]])])
+    assert e._traces.tobytes() == fresh._traces.tobytes()
 
 
 def test_effective_snrs_identity_correlations(rng):

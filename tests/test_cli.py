@@ -366,10 +366,16 @@ def test_module_entry_point_writes_output(tiny_config, tmp_path):
 
 def test_cli_run_path_loads_no_scipy(tiny_config, tmp_path):
     # every subcommand runs in one fresh interpreter; a lazy scipy import on the
-    # run path would leave scipy in sys.modules, not just slow the import
+    # run path would leave scipy in sys.modules, not just slow the import.
+    # numpy.polynomial is imported only to compute a Gauss rule the package
+    # does not ship, so its absence after the import and after all four
+    # subcommands shows that no rule is computed and that the shipped rules
+    # cover every order the CLI uses
     script = "\n".join([
         "import sys",
         "from amrbeam.cli import run",
+        "polynomial = lambda: sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))",
+        "print(polynomial())",
         f"cfg, out = {tiny_config!r}, {str(tmp_path)!r}",
         "for args in (['evaluate', '--mc-samples', '10000'], ['asymptotics'], ['validate'],",
         "             ['convergence', '--optimizer', 'ga']):",
@@ -378,13 +384,16 @@ def test_cli_run_path_loads_no_scipy(tiny_config, tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
         # numpy 2 imports numpy.ma lazily, for np.unique among others
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+        "print(polynomial())",
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-3:] == ["[]", "[]", "[]"]
     for name in ("evaluate/amr_table.csv", "asymptotics/gaps.csv", "validate/validation.csv",
                  "convergence/trace_ga.csv"):
         assert (tmp_path / name).is_file()

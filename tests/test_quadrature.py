@@ -1,11 +1,16 @@
-"""The package's Gauss rules: numpy's hermgauss and laggauss behind two cached helpers.
+"""The package's Gauss rules: shipped copies of numpy's rules behind two cached helpers.
 
 channel_info._noise_rule gives the Hermite rule for N(0, 1/2), whose weights
 sum to 1 (the e^{-x^2} weights divided by sqrt(pi)); amr._laguerre_rule the
-Laguerre rule for the e^{-x} measure.
+Laguerre rule for the e^{-x} measure. The orders the package uses, and the
+8-node Legendre panel rule, load from the .npy files in amrbeam/rules; any
+other order is numpy's hermgauss or laggauss, computed on the call. So the
+property tests below run on the shipped rules at the package's orders and on
+numpy's elsewhere, and test_shipped_rules_are_numpys compares the two.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -73,6 +78,42 @@ def test_package_rules_integrate_every_exact_moment(kind):
             log_exact = np.array([math.lgamma(k + 0.5) for k in range(order)]) - 0.5 * math.log(math.pi)
             err = _relative_moments(np.log(nodes * nodes), weights, log_exact)
         assert np.max(np.abs(err)) <= tolerance[order], (kind, order)
+
+
+# Largest difference in units of the last place allowed between a shipped
+# rule and numpy's rule of its order. It is 0 with numpy 2.4.6, which wrote
+# the files. A later numpy or LAPACK may move numpy's bits, while the
+# package's outputs stay those of the files. numpy refines the eigenvalues
+# of a companion matrix by one Newton step, and perturbing them by 1e-15 of
+# the largest (about LAPACK's accuracy) moved laggauss(150) by up to 1.9e3
+# ulps in a node and 6.5e5 ulps in a weight (the tiny tail weights), and
+# hermgauss(200) by 2 and 1.5e3 ulps. The bound, 2**21 ulps (4.7e-10
+# relative), allows that and still refuses a file of another rule or order.
+_SHIPPED_MAX_ULP = 2**21
+
+
+def test_shipped_rules_are_numpys():
+    from numpy.polynomial import hermite, laguerre, legendre
+
+    shipped = {f"hermite_{n}": hermite.hermgauss(n) for n in channel_info._SHIPPED_HERMITE}
+    shipped.update((f"laguerre_{n}", laguerre.laggauss(n)) for n in amr._SHIPPED_LAGUERRE)
+    x, w = legendre.leggauss(amr._PANEL_NODES)
+    shipped[f"legendre_{amr._PANEL_NODES}"] = (x, w, *legendre.legvander(x, amr._PANEL_NODES - 1))
+    # the rules directory holds these files and no other
+    assert sorted(os.listdir(channel_info._RULES_DIR)) == sorted(name + ".npy" for name in shipped)
+    for name, rows in shipped.items():
+        loaded = channel_info._shipped_rule(name)
+        assert loaded.dtype == np.float64 and loaded.shape == (len(rows), rows[0].size), name
+        np.testing.assert_array_max_ulp(loaded, np.stack(rows), maxulp=_SHIPPED_MAX_ULP)
+    # the helpers and amr's constants hold exactly the loaded arrays
+    for n in channel_info._SHIPPED_HERMITE:
+        (nodes,), weights = channel_info._noise_rule(n)
+        loaded = channel_info._shipped_rule(f"hermite_{n}")
+        assert np.array_equal(nodes, loaded[0]) and np.array_equal(weights, loaded[1] / SQRT_PI)
+    for n in amr._SHIPPED_LAGUERRE:
+        assert np.array_equal(np.stack(amr._laguerre_rule(n)), channel_info._shipped_rule(f"laguerre_{n}"))
+    assert np.array_equal(np.stack((amr._GL_NODES, amr._GL_WEIGHTS)),
+                          channel_info._shipped_rule(f"legendre_{amr._PANEL_NODES}")[:2])
 
 
 def test_laguerre_order_one():
@@ -171,9 +212,10 @@ def test_rules_are_cached_and_read_only():
 
 
 def test_order_200_rule_builds_one_dense_matrix():
-    # the order-200 rule is first built inside a kernel pass, where its
-    # transients can set the process's peak memory: one 200 x 200 matrix is
-    # 320 KB
+    # the order-200 rule is first loaded inside a kernel pass, where its
+    # transients can set the process's peak memory. Loading its shipped file
+    # peaks at about 20 KB under tracemalloc; the bound is the one its build
+    # by hermgauss had to meet, one 200 x 200 matrix (320 KB)
     channel_info._noise_rule.__wrapped__(200)
     tracemalloc.start()
     try:
