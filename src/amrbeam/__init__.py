@@ -25,11 +25,11 @@ from .channel_model import (
     NulledUserError,
     PhaseVector,
     TruncationError,
-    effective_snrs,
     make_correlation,
     make_ensemble,
     min_snr_law,
     mrc_law,
+    quadratic_forms,
     wrap_phase,
 )
 from .constellation import Constellation, make_custom, make_psk, make_qam

@@ -34,13 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel_info import _BAND, _shipped_rule, mi_curve, mmse_curve
-from .channel_model import (
-    ChannelEnsemble,
-    MrcLaw,
-    PhaseVector,
-    log_gamma_range,
-    quadratic_forms,
-)
+from .channel_model import MrcLaw, log_gamma_range
 from .constellation import Constellation
 
 __all__ = [
@@ -67,16 +61,10 @@ _SHIPPED_LAGUERRE = (_RATE_ORDER, _TAIL_ORDER, _TAIL_CHECK_ORDER)
 def _laguerre_rule(order: int):
     """Gauss-Laguerre rule (nodes, weights) for int_0^inf f(x) e^{-x} dx, read-only.
 
-    It is numpy's laggauss at that order: loaded from its shipped file for
-    the orders in _SHIPPED_LAGUERRE (see channel_info._shipped_rule),
-    computed for any other.
+    It is numpy's laggauss at that order, loaded from its shipped file (see
+    channel_info._shipped_rule); only the orders in _SHIPPED_LAGUERRE ship.
     """
-    if order in _SHIPPED_LAGUERRE:
-        nodes, weights = _shipped_rule(f"laguerre_{order}")
-    else:
-        from numpy.polynomial.laguerre import laggauss
-
-        nodes, weights = laggauss(order)
+    nodes, weights = _shipped_rule(f"laguerre_{order}")
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -275,25 +263,21 @@ def mellin_mmse(c: Constellation, t: float) -> float:
     return total
 
 
-def array_gain_noncoop(ensemble: ChannelEnsemble, phases: PhaseVector, mellin2: float) -> float:
+def array_gain_noncoop(q: np.ndarray, mellin2: float) -> float:
     """Array gain d of the weakest-user rate, log2(M) - 1 / (d * gamma_bar).
 
     d = 1 / (mellin2 * sum_k 1 / q_k), built from the beamforming gains
     q_k = f^H R_k f; it does not depend on the SNR.
     """
-    q = quadratic_forms(ensemble, phases)
     return 1.0 / (mellin2 * float(np.sum(1.0 / q)))
 
 
-def array_gain_coop(ensemble: ChannelEnsemble, phases: PhaseVector, mellin_k1: float) -> float:
+def array_gain_coop(q: np.ndarray, mellin_k1: float) -> float:
     """Array gain d of the joint-decoding rate, log2(M) - (d * gamma_bar)^(-K).
 
-    d = (K! * prod_k q_k / mellin_k1)^(1/K), evaluated in log space to stay
-    finite for large K. The product of per-user SNRs is read through the
-    SNR-normalized gains q_k = f^H R_k f, not gamma_bar * q_k, so d does not
-    depend on the SNR.
+    d = (K! * prod_k q_k / mellin_k1)^(1/K) from the SNR-normalized gains
+    q_k = f^H R_k f, evaluated in log space to stay finite for large K.
     """
-    q = quadratic_forms(ensemble, phases)
     k = q.size
     return math.exp((math.lgamma(k + 1.0) + float(np.sum(np.log(q))) - math.log(mellin_k1)) / k)
 

@@ -1,11 +1,12 @@
-"""Statistical channel state: correlation matrices, effective SNRs, SNR laws.
+"""Statistical channel state: correlation matrices, beamforming gains, SNR laws.
 
-The transmitter only knows second-order statistics (one Hermitian PSD
-correlation matrix per user) plus the average SNR. Beamforming with a
-unit-modulus phase vector phi (f = phi / sqrt(N)) turns each user's channel
-into a scalar Rayleigh link whose instantaneous SNR is exponential with mean
-
-    gamma_k = gamma_bar * phi^H R_k phi / N.
+The transmitter only knows second-order statistics: one Hermitian PSD
+correlation matrix R_k per user, which ChannelEnsemble checks and holds as
+given, with no BLAS call, so they do not depend on the BLAS thread count.
+Beamforming with a unit-modulus phase vector phi (f = phi / sqrt(N)) turns
+each user's channel into a scalar Rayleigh link whose instantaneous SNR is
+exponential with mean gamma_k = gamma_bar * q_k, the average SNR times the
+gain q_k = f^H R_k f (quadratic_forms), which does not depend on the SNR.
 
 Two composite laws matter downstream: the minimum over users (exponential with
 the harmonic-composite mean) and the sum over users (maximal-ratio combining).
@@ -22,7 +23,6 @@ mc_sim and takes explicit seeded generators.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from bisect import bisect_left
@@ -43,7 +43,7 @@ __all__ = [
     "wrap_phase",
     "make_correlation",
     "make_ensemble",
-    "effective_snrs",
+    "quadratic_forms",
     "min_snr_law",
     "mrc_law",
 ]
@@ -127,9 +127,10 @@ def make_correlation(
     ``exponential``: R[i, j] = rho^|i-j| exp(j (i-j) mu) with 0 <= rho < 1.
     ``local_scattering``: half-wavelength ULA facing a scatterer cluster at
     ``angle`` (radians) with Gaussian angular offsets of std ``spread``;
-    R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), evaluated by the
+    R[i, j] = E_delta exp(j pi (i-j) sin(angle + delta)), summed per lag on the
     kernel's shipped order-200 Gauss-Hermite rule (channel_info._noise_rule)
-    and clipped onto the PSD cone.
+    and conjugated for i < j: exactly Hermitian, and PSD by construction
+    (Bjornson, Hoydis and Sanguinetti, Massive MIMO Networks, 2017, sec. 2.6).
     """
     if n < 1:
         raise ValueError(f"need n >= 1 antennas, got {n}")
@@ -146,58 +147,47 @@ def make_correlation(
             raise ValueError("local_scattering model needs angle and spread > 0")
         # delta = sqrt(2) spread x with x ~ N(0, 1/2), the kernel's noise rule
         (x,), w = _noise_rule(_TABLE_ORDER)
-        deltas = math.sqrt(2.0) * spread * x
-        sines = np.sin(angle + deltas)
-        lags = np.exp(1j * np.pi * np.arange(n)[:, None] * sines[None, :]) @ w
+        sines = np.sin(angle + math.sqrt(2.0) * spread * x)
+        # lag d is sum_t w_t exp(j pi d sin_t), a numpy sum, not a BLAS product
+        lags = (np.exp(1j * np.pi * idx[:, None] * sines) * w).sum(axis=1)
         r = lags[np.abs(lag)]
-        r = np.where(lag < 0, np.conj(r), r)
-        # roundoff can leave eigenvalues barely negative; clip onto the PSD cone
-        vals, vecs = np.linalg.eigh(r)
-        r = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-        return 0.5 * (r + r.conj().T)
+        return np.where(lag < 0, np.conj(r), r)
 
     raise ValueError(f"unknown correlation model {model!r}")
 
 
-def _cleaned(correlations) -> np.ndarray:
-    """The (K, N, N) correlations, checked Hermitian PSD and made exactly Hermitian."""
-    r = np.asarray(correlations, dtype=complex)
-    if r.ndim != 3 or r.shape[1] != r.shape[2]:
-        raise ValueError(f"correlations must be (K, N, N), got {r.shape}")
-    herm_err = np.max(np.abs(r - np.conj(np.transpose(r, (0, 2, 1)))))
-    if herm_err > 1e-12:
-        raise ValueError(f"correlation matrices not Hermitian (residual {herm_err:.2e})")
-    cleaned = np.empty_like(r)
-    for k in range(r.shape[0]):
-        vals, vecs = np.linalg.eigh(r[k])
-        if vals.min() < -1e-10:
-            raise ValueError(f"correlation {k} has eigenvalue {vals.min():.2e} < -1e-10")
-        vals = np.clip(vals, 0.0, None)
-        if vals.sum() <= 0.0:
-            raise ValueError(f"correlation {k} has non-positive trace")
-        m = (vecs * vals) @ vecs.conj().T
-        cleaned[k] = 0.5 * (m + m.conj().T)
-    return cleaned
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChannelEnsemble:
-    """Per-user correlation matrices plus the average SNR (the statistical CSI).
+    """Per-user correlation matrices R_k (the statistical CSI), with no SNR; read-only.
 
-    Every assignment of ``correlations``, the constructor's or a later one,
-    checks and cleans the matrices and resets what derives from them: their
-    traces (the scale of _nulled's threshold) and the square-root cache.
+    The constructor checks and does not rebuild: Hermitian to 1e-12, no
+    eigenvalue below -1e-10 (one batched eigvalsh, its only LAPACK call) and
+    positive traces. It keeps 0.5 (R + R^H), elementwise, and the traces.
     """
 
     correlations: np.ndarray
-    snr_db: float
 
-    def __setattr__(self, name, value):
-        if name == "correlations":
-            value = _cleaned(value)
-            object.__setattr__(self, "_traces", np.real(np.trace(value, axis1=1, axis2=2)))
-            object.__setattr__(self, "_sqrt", None)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        r = np.asarray(self.correlations, dtype=complex)
+        if r.ndim != 3 or r.shape[1] != r.shape[2]:
+            raise ValueError(f"correlations must be (K, N, N), got {r.shape}")
+        r_h = np.conj(np.swapaxes(r, 1, 2))
+        herm_err = np.max(np.abs(r - r_h))
+        if not herm_err <= 1e-12:  # written to fail on nan
+            raise ValueError(f"correlation matrices not Hermitian (residual {herm_err:.2e})")
+        r = 0.5 * (r + r_h)
+        lowest = np.linalg.eigvalsh(r).min(axis=1)
+        k = int(np.argmin(lowest))
+        if lowest[k] < -1e-10:
+            raise ValueError(f"correlation {k} has eigenvalue {lowest[k]:.2e} < -1e-10")
+        traces = np.trace(r, axis1=1, axis2=2).real
+        k = int(np.argmin(traces))
+        if traces[k] <= 0.0:
+            raise ValueError(f"correlation {k} has non-positive trace")
+        r.flags.writeable = False
+        object.__setattr__(self, "correlations", r)
+        object.__setattr__(self, "_traces", traces)
+        object.__setattr__(self, "_sqrt", None)
 
     @property
     def K(self) -> int:
@@ -207,20 +197,6 @@ class ChannelEnsemble:
     def N(self) -> int:
         return self.correlations.shape[1]
 
-    @property
-    def gamma_bar(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
-    def with_snr_db(self, snr_db: float) -> "ChannelEnsemble":
-        """The same ensemble at another average SNR.
-
-        The copy shares the already cleaned correlations, their traces and
-        the square-root cache instead of cleaning them again.
-        """
-        out = copy.copy(self)
-        out.snr_db = float(snr_db)
-        return out
-
     def sqrt_correlations(self) -> np.ndarray:
         """Hermitian PSD square roots R_k^{1/2} (cached)."""
         if self._sqrt is None:
@@ -228,14 +204,13 @@ class ChannelEnsemble:
             for k in range(self.K):
                 vals, vecs = np.linalg.eigh(self.correlations[k])
                 out[k] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-            self._sqrt = out
+            object.__setattr__(self, "_sqrt", out)
         return self._sqrt
 
 
 def make_ensemble(
     k: int,
     n: int,
-    snr_db: float,
     *,
     model: str = "exponential",
     seed: int = 0,
@@ -250,14 +225,12 @@ def make_ensemble(
     """
     rng = np.random.default_rng(seed)
     if model == "exponential":
-        mats = [make_correlation("exponential", n, rho=rho, mu=float(m))
+        mats = [make_correlation(model, n, rho=rho, mu=float(m))
                 for m in rng.uniform(-np.pi, np.pi, k)]
-    elif model == "local_scattering":
-        mats = [make_correlation("local_scattering", n, angle=float(a), spread=spread)
-                for a in rng.uniform(-np.pi / 2, np.pi / 2, k)]
     else:
-        raise ValueError(f"unknown correlation model {model!r}")
-    return ChannelEnsemble(np.stack(mats), float(snr_db))
+        mats = [make_correlation(model, n, angle=float(a), spread=spread)
+                for a in rng.uniform(-np.pi / 2, np.pi / 2, k)]
+    return ChannelEnsemble(np.stack(mats))
 
 
 def _forms(ensemble: ChannelEnsemble, v: np.ndarray) -> np.ndarray:
@@ -269,7 +242,7 @@ def _nulled(ensemble: ChannelEnsemble, q: np.ndarray, norm_sq: float) -> np.ndar
     """Which forms q[..., k] of vectors of squared norm ``norm_sq`` null user k.
 
     A form nulls its user when it is at or below 1e-12 * trace(R_k) * norm_sq / N,
-    with the traces taken when the correlations were assigned. _checked_forms
+    with the traces the ensemble took when it was built. _checked_forms
     and the GA's scorer share this one test.
     """
     return q <= _NULL_EPS * ensemble._traces / (ensemble.N / norm_sq)
@@ -295,11 +268,6 @@ def _checked_forms(ensemble: ChannelEnsemble, v: np.ndarray, norm_sq: float) -> 
 def quadratic_forms(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray:
     """Per-user beamforming gains q_k = f^H R_k f (>= 0, SNR-normalized)."""
     return _checked_forms(ensemble, phases.f, 1.0)
-
-
-def effective_snrs(ensemble: ChannelEnsemble, phases: PhaseVector) -> np.ndarray:
-    """Per-user average SNRs gamma_k = gamma_bar * f^H R_k f."""
-    return ensemble.gamma_bar * quadratic_forms(ensemble, phases)
 
 
 def min_snr_law(gammas) -> float:

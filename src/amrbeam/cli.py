@@ -4,7 +4,9 @@ Subcommands emit machine-readable plot data (CSV or JSON), never figures.
 Every output starts with a metadata header (resolved config, its SHA-256,
 seeds, package version, series truncation levels) sufficient to re-run the
 experiment bit-identically; nothing time-dependent is written, so identical
-invocations produce identical files.
+invocations produce identical files, whatever the BLAS thread count, except
+the Monte Carlo oracle (validate, evaluate with mc_samples) at N >= 128, whose
+R_k^{1/2} come from LAPACK's eigh.
 
 The JSON config describes the experiment. Its fields, all optional, are
 constellation.{kind,order}, K, N, correlation.{model,rho,spread,seed}, snr_db,
@@ -28,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +47,10 @@ from .amr import (
 from .channel_info import build_table
 from .channel_model import (
     PhaseVector,
-    effective_snrs,
     make_ensemble,
     min_snr_law,
     mrc_law,
+    quadratic_forms,
 )
 from .constellation import make_psk, make_qam
 from .genetic_opt import GaConfig, ga_optimize
@@ -55,7 +58,6 @@ from .manifold_opt import CompositeSnrObjective, LogGainSumObjective, rm_cgd
 from .mc_sim import mc_amr
 
 OPTIMIZERS = ("rmcgd-f1", "rmcgd-f2", "ga", "random")
-_SURROGATES = {"rmcgd-f1": CompositeSnrObjective, "rmcgd-f2": LogGainSumObjective}
 SCENARIOS = {"noncoop": ["non_cooperative"], "coop": ["cooperative"],
              "both": ["non_cooperative", "cooperative"]}
 # gap range [low, high] in bits whose rows the decay-slope fit uses
@@ -268,22 +270,15 @@ class Runner:
         self.fmt = fmt
         self.constellation = cfg.make_constellation()
         self.ensemble = make_ensemble(
-            cfg.k, cfg.n, 0.0,
+            cfg.k, cfg.n,
             model=cfg.corr_model, seed=cfg.corr_seed,
             rho=cfg.corr_rho, spread=cfg.corr_spread,
         )
-        self._table = None
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            self._table = build_table(
-                self.constellation,
-                self.cfg.table_db_min,
-                self.cfg.table_db_max,
-                self.cfg.table_points_per_decade,
-            )
-        return self._table
+        return build_table(self.constellation, self.cfg.table_db_min, self.cfg.table_db_max,
+                           self.cfg.table_points_per_decade)
 
     def metadata(self, extra: dict | None = None) -> dict:
         md = {
@@ -301,23 +296,19 @@ class Runner:
         ext = "json" if self.fmt == "json" else "csv"
         return os.path.join(self.out, f"{name}.{ext}")
 
-    def optimize(self, method: str, ens, run_seed: int):
-        """One rm_cgd (RmCgdResult) or GA (GaResult) run at ``ens``'s SNR.
+    def optimize(self, method: str, snr_db: float, run_seed: int):
+        """One rm_cgd (RmCgdResult) or GA (GaResult) run at ``snr_db``.
 
         rm_cgd starts from the first random phase vector of ``run_seed``; the
         GA takes ``run_seed`` as its own seed.
         """
+        gamma_bar = 10.0 ** (snr_db / 10.0)
         if method == "ga":
             ga_cfg = GaConfig(self.cfg.ga_population, self.cfg.ga_max_generations, seed=run_seed)
-            return ga_optimize(ens, self.table, ga_cfg)
-        start = PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
-        return rm_cgd(_SURROGATES[method](ens), start)
-
-    def optimizer_phases(self, method: str, snr_db: float, run_seed: int) -> PhaseVector:
-        """Phases produced by one method at one SNR (GA refits per SNR)."""
-        if method == "random":
-            return PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed))
-        return self.optimize(method, self.ensemble.with_snr_db(snr_db), run_seed).phases
+            return ga_optimize(self.ensemble, gamma_bar, self.table, ga_cfg)
+        objective = (CompositeSnrObjective(self.ensemble, gamma_bar) if method == "rmcgd-f1"
+                     else LogGainSumObjective(self.ensemble))
+        return rm_cgd(objective, PhaseVector.random(self.cfg.n, np.random.default_rng(run_seed)))
 
     def rate(self, scenario: str, gammas):
         """(rate in bits, law) at per-user SNRs ``gammas``.
@@ -331,11 +322,11 @@ class Runner:
         law = mrc_law(gammas, 1e-10)
         return amr_coop(self.table, law), law
 
-    def array_gain(self, scenario: str, phases: PhaseVector) -> float:
-        """Array gain d of the high-SNR law; it depends on the phases, not the SNR."""
+    def array_gain(self, scenario: str, q) -> float:
+        """Array gain d of the high-SNR law from a design's SNR-free gains q_k."""
         if scenario == "non_cooperative":
-            return array_gain_noncoop(self.ensemble, phases, mellin_mmse(self.constellation, 2.0))
-        return array_gain_coop(self.ensemble, phases, mellin_mmse(self.constellation, self.cfg.k + 1.0))
+            return array_gain_noncoop(q, mellin_mmse(self.constellation, 2.0))
+        return array_gain_coop(q, mellin_mmse(self.constellation, self.cfg.k + 1.0))
 
 
 def _seed_for(base: int, *parts: int) -> int:
@@ -363,41 +354,43 @@ def cmd_evaluate(runner: Runner) -> int:
     cfg = runner.cfg
     scenarios = SCENARIOS[cfg.scenario]
     rows = []
-    snr_independent = {"rmcgd-f1", "rmcgd-f2", "random"}
     mc_seeds = []
     for mi, method in enumerate(cfg.optimizers):
-        if method in snr_independent:
+        if method != "ga":
             # the argmax of both surrogates is SNR-free, so reuse phases
-            phases = runner.optimizer_phases(method, cfg.snr_db[0], _seed_for(runner.seed, mi))
+            seed = _seed_for(runner.seed, mi)
+            phases = (PhaseVector.random(cfg.n, np.random.default_rng(seed)) if method == "random"
+                      else runner.optimize(method, cfg.snr_db[0], seed).phases)
             designs = [(phases, cfg.snr_db, _seed_for(runner.seed, mi, 1))]
-        else:
+        else:  # the GA refits per SNR
             designs = [
-                (runner.optimizer_phases(method, snr_db, _seed_for(runner.seed, mi, si)),
+                (runner.optimize(method, snr_db, _seed_for(runner.seed, mi, si)).phases,
                  [snr_db], _seed_for(runner.seed, mi, si, 1))
                 for si, snr_db in enumerate(cfg.snr_db)
             ]
         mc_seeds.append([mc_seed for _, _, mc_seed in designs])
         for phases, snrs, mc_seed in designs:
-            ensembles = [runner.ensemble.with_snr_db(snr_db) for snr_db in snrs]
+            # the design's gains, formed once; each SNR scales them
+            q = quadratic_forms(runner.ensemble, phases)
+            gamma_bars = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
             mc = None
             if cfg.mc_samples:
-                mc = mc_amr(runner.ensemble, phases, runner.table,
-                            [ens.gamma_bar for ens in ensembles], cfg.mc_samples, mc_seed,
-                            scenarios)
-            gains = {scenario: runner.array_gain(scenario, phases) for scenario in scenarios}
-            for j, ens in enumerate(ensembles):
-                gammas = effective_snrs(ens, phases)
+                mc = mc_amr(runner.ensemble, phases, runner.table, gamma_bars, cfg.mc_samples,
+                            mc_seed, scenarios)
+            gains = {scenario: runner.array_gain(scenario, q) for scenario in scenarios}
+            for j, (snr_db, gamma_bar) in enumerate(zip(snrs, gamma_bars)):
+                gammas = gamma_bar * q
                 for scenario in scenarios:
                     coop = scenario == "cooperative"
                     amr, law = runner.rate(scenario, gammas)
                     # G = 1 divides: 1 / x and pow(x, -1) differ in the last bit for some x
-                    gap = (_gap_law(gains[scenario], ens.gamma_bar, float(cfg.k)) if coop
-                           else float(1.0 / np.float64(gains[scenario] * ens.gamma_bar)))
+                    gap = (_gap_law(gains[scenario], gamma_bar, float(cfg.k)) if coop
+                           else float(1.0 / np.float64(gains[scenario] * gamma_bar)))
                     est = mc[scenario][j] if mc else None
                     rows.append({
                         "method": method,
                         "scenario": scenario,
-                        "snr_db": ens.snr_db,
+                        "snr_db": snr_db,
                         "diversity_order": float(cfg.k) if coop else 1.0,
                         "amr_bits": amr,
                         "gamma_non": None if coop else law,
@@ -423,11 +416,10 @@ def cmd_convergence(runner: Runner) -> int:
     """
     cfg = runner.cfg
     snr_db = cfg.snr_db[0]
-    ens = runner.ensemble.with_snr_db(snr_db)
     for mi, method in enumerate(cfg.optimizers):
         if method == "random":  # a single evaluation, nothing to trace
             continue
-        res = runner.optimize(method, ens, _seed_for(runner.seed, mi))
+        res = runner.optimize(method, snr_db, _seed_for(runner.seed, mi))
         if method == "ga":
             rows = [
                 {
@@ -472,18 +464,18 @@ def cmd_asymptotics(runner: Runner) -> int:
     """
     cfg = runner.cfg
     gap_eval = SaturationGap(runner.constellation)
+    gamma_bars = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
     rows = []
     slopes = {}
     for scenario in SCENARIOS[cfg.scenario]:
         method = "rmcgd-f1" if scenario == "non_cooperative" else "rmcgd-f2"
         diversity = 1.0 if scenario == "non_cooperative" else float(cfg.k)
-        phases = runner.optimizer_phases(method, cfg.snr_db[0], _seed_for(runner.seed, 7))
-        gain = runner.array_gain(scenario, phases)
+        phases = runner.optimize(method, cfg.snr_db[0], _seed_for(runner.seed, 7)).phases
+        q = quadratic_forms(runner.ensemble, phases)
+        gain = runner.array_gain(scenario, q)
         gaps = []
-        gbars = []
-        for snr_db in cfg.snr_db:
-            ens = runner.ensemble.with_snr_db(snr_db)
-            gammas = effective_snrs(ens, phases)
+        for snr_db, gamma_bar in zip(cfg.snr_db, gamma_bars):
+            gammas = gamma_bar * q
             try:
                 if scenario == "non_cooperative":
                     gap = gap_eval.noncoop(min_snr_law(gammas))
@@ -492,9 +484,8 @@ def cmd_asymptotics(runner: Runner) -> int:
             except ValueError as ex:
                 raise ValueError(f"{scenario} saturation gap at {snr_db!r} dB: {ex}") from ex
             # the gap law itself: log2 M minus the asymptote cancels at small gaps
-            pred = _gap_law(gain, ens.gamma_bar, diversity)
+            pred = _gap_law(gain, gamma_bar, diversity)
             gaps.append(gap)
-            gbars.append(ens.gamma_bar)
             rows.append({
                 "scenario": scenario,
                 "snr_db": snr_db,
@@ -504,7 +495,7 @@ def cmd_asymptotics(runner: Runner) -> int:
             })
         window = _GAP_WINDOWS[scenario]
         try:
-            slope, used = fit_gap_slope(gbars, gaps, window)
+            slope, used = fit_gap_slope(gamma_bars, gaps, window)
             slopes[scenario] = {"slope": slope, "points_used": used, "gap_window": list(window)}
         except ValueError as ex:
             slopes[scenario] = {"error": str(ex), "gap_window": list(window)}
@@ -525,17 +516,16 @@ def cmd_validate(runner: Runner) -> int:
     """
     cfg = runner.cfg
     n = cfg.mc_samples or 100_000
-    rng = np.random.default_rng(_seed_for(runner.seed, 3))
-    phases = PhaseVector.random(cfg.n, rng)
+    phases = PhaseVector.random(cfg.n, np.random.default_rng(_seed_for(runner.seed, 3)))
     scenarios = SCENARIOS[cfg.scenario]
     mc_seed = _seed_for(runner.seed, 5)
-    ensembles = [runner.ensemble.with_snr_db(snr_db) for snr_db in cfg.snr_db]
-    mc = mc_amr(runner.ensemble, phases, runner.table, [ens.gamma_bar for ens in ensembles],
-                n, mc_seed, scenarios)
+    q = quadratic_forms(runner.ensemble, phases)
+    gamma_bars = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db]
+    mc = mc_amr(runner.ensemble, phases, runner.table, gamma_bars, n, mc_seed, scenarios)
     rows = []
     all_ok = True
-    for si, ens in enumerate(ensembles):
-        gammas = effective_snrs(ens, phases)
+    for si, (snr_db, gamma_bar) in enumerate(zip(cfg.snr_db, gamma_bars)):
+        gammas = gamma_bar * q
         for scenario in scenarios:
             analytic, _ = runner.rate(scenario, gammas)
             est = mc[scenario][si]
@@ -544,7 +534,7 @@ def cmd_validate(runner: Runner) -> int:
             all_ok &= ok
             rows.append({
                 "scenario": scenario,
-                "snr_db": ens.snr_db,
+                "snr_db": snr_db,
                 "analytic_bits": analytic,
                 "mc_mean": est.mean,
                 "mc_std_error": est.std_error,

@@ -1,25 +1,27 @@
 """Genetic search over phase vectors maximizing the cooperative multicast rate.
 
 The fitness of an individual is the cooperative average multicast rate of the
-effective SNRs its phases induce: amr_coop over the gamma-series law (tail
-tolerance SERIES_TOL) and the interpolated mutual information, on amr's
-50-node Laguerre rule, with no Monte Carlo. Phases are circular, so mutation
-wraps to (-pi, pi] instead of clamping. The operators are module constants,
-recorded in GaResult.metadata: tournament selection among TOURNAMENT_SIZE,
-uniform crossover with probability CROSSOVER_RATE, Gaussian mutation of each
-gene with probability 1/N and std MUTATION_SCALE radians, shrunk by
-MUTATION_DECAY per generation, and ELITISM_COUNT elites. A run stops once the
-best fitness gains no more than STALL_TOL over STALL_GENERATIONS generations;
-GaConfig sets only the population, the generation limit and the seed. All
-randomness comes from a single seeded generator, so runs are reproducible.
-Each distinct phase vector of a generation is scored once: elites and
-children left unchanged by crossover and mutation repeat a vector of the
-generation before, and take its fitness from there. Only that generation's
-scores are kept, so the memory stays proportional to the population. The
-new vectors of a generation are scored together (_scores), with one
-nulled-user test and one MI lookup for all of them; their quadratic forms,
-gamma-series laws and rate sums are taken row by row. Every score is bitwise
-the fitness of its vector scored alone, so the batch changes no trajectory.
+effective SNRs gamma_bar * q_k its phases induce: amr_coop over the
+gamma-series law (tail tolerance SERIES_TOL) and the interpolated mutual
+information, on amr's 50-node Laguerre rule, with no Monte Carlo; a vector
+whose law needs more terms than mrc_law allows scores 0, as a nulled one does.
+Phases are circular, so mutation wraps to (-pi, pi] instead of clamping. The
+operators are module constants, recorded in GaResult.metadata: tournament
+selection among TOURNAMENT_SIZE, uniform crossover with probability
+CROSSOVER_RATE, Gaussian mutation of each gene with probability 1/N and std
+MUTATION_SCALE radians, shrunk by MUTATION_DECAY per generation, and
+ELITISM_COUNT elites. A run stops once the best fitness gains no more than
+STALL_TOL over STALL_GENERATIONS generations; GaConfig sets only the
+population, the generation limit and the seed. All randomness comes from a
+single seeded generator, so runs are reproducible. Each distinct phase vector
+of a generation is scored once: elites and children left unchanged by
+crossover and mutation repeat a vector of the generation before, and take its
+fitness from there. Only that generation's scores are kept, so the memory
+stays proportional to the population. The new vectors of a generation are
+scored together (_scores), with one nulled-user test and one MI lookup for all
+of them; their quadratic forms, gamma-series laws and rate sums are taken row
+by row. Every score is bitwise the fitness of its vector scored alone, so the
+batch changes no trajectory.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 # amr_coop is not called here but stays importable: bench/layers.py wraps
 # genetic_opt.amr_coop, and reads an absent name as a missing layer
 from .amr import _RATE_NODES, _coop_rate, amr_coop  # noqa: F401
-from .channel_model import ChannelEnsemble, PhaseVector, _forms, _nulled, mrc_law, wrap_phase
+from .channel_model import (ChannelEnsemble, PhaseVector, TruncationError, _forms, _nulled,
+                            mrc_law, wrap_phase)
 
 __all__ = ["GaConfig", "GaResult", "fitness", "ga_optimize"]
 
@@ -61,31 +64,39 @@ class GaConfig:
             raise ValueError(f"max_generations must be >= 1, got {self.max_generations}")
 
 
-def fitness(phases: PhaseVector, ensemble: ChannelEnsemble, info) -> float:
-    """Cooperative average multicast rate of one individual (bits).
+def fitness(phases: PhaseVector, ensemble: ChannelEnsemble, gamma_bar: float, info) -> float:
+    """Cooperative average multicast rate (bits) of one individual at average SNR ``gamma_bar``.
 
-    A beamformer that nulls any user gets worst-case fitness 0.
+    A beamformer that nulls any user, or whose law is truncated, gets
+    worst-case fitness 0.
     """
-    return float(_scores(phases.thetas[None, :], ensemble, info)[0])
+    return float(_scores(phases.thetas[None, :], ensemble, gamma_bar, info)[0][0])
 
 
-def _scores(thetas: np.ndarray, ensemble: ChannelEnsemble, info) -> np.ndarray:
-    """Fitness of each row of ``thetas`` (P, N), phases wrapped as PhaseVector holds them.
+def _scores(thetas: np.ndarray, ensemble: ChannelEnsemble, gamma_bar: float, info):
+    """Fitness of each row of ``thetas`` (P, N), and how many rows had a truncated law.
 
-    Each score is bitwise amr_coop(info, mrc_law(gammas, SERIES_TOL)) at the
-    row's effective SNRs, or 0 when the row nulls a user. The forms are
-    quadratic_forms' per-vector einsum, row by row: one "pi,kij,pj->pk"
+    The rows are phases wrapped as PhaseVector holds them. Each score is
+    bitwise amr_coop(info, mrc_law(gamma_bar * q, SERIES_TOL)) at the row's
+    gains q, or 0 when the row nulls a user or its law is truncated. The forms
+    are quadratic_forms' per-vector einsum, row by row: one "pi,kij,pj->pk"
     einsum sums in another order at some shapes (K = 1, N = 2).
     """
     f = np.exp(-1j * thetas) / math.sqrt(thetas.shape[1])
     q = np.array([_forms(ensemble, v) for v in f]).reshape(-1, ensemble.K)
-    live = ~_nulled(ensemble, q, 1.0).any(axis=1)
-    laws = [mrc_law(gammas, SERIES_TOL) for gammas in ensemble.gamma_bar * q[live]]
-    nodes = np.array([law.gamma_min for law in laws])[:, None] * _RATE_NODES
+    live = np.flatnonzero(~_nulled(ensemble, q, 1.0).any(axis=1))
+    laws = {}
+    for p in live:
+        try:
+            laws[p] = mrc_law(gamma_bar * q[p], SERIES_TOL)
+        except TruncationError:
+            pass
+    nodes = np.array([law.gamma_min for law in laws.values()])[:, None] * _RATE_NODES
     mi = info.mi(nodes.ravel()).reshape(nodes.shape)
     out = np.zeros(thetas.shape[0])
-    out[live] = [_coop_rate(law, row, info.constellation.bits) for law, row in zip(laws, mi)]
-    return out
+    out[list(laws)] = [_coop_rate(law, row, info.constellation.bits)
+                       for law, row in zip(laws.values(), mi)]
+    return out, live.size - len(laws)
 
 
 @dataclass
@@ -98,11 +109,14 @@ class GaResult:
     metadata: dict = field(default_factory=dict)
 
 
-def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) -> GaResult:
-    """Evolve a population of phase vectors; best fitness never decreases.
+def ga_optimize(ensemble: ChannelEnsemble, gamma_bar: float, info,
+                cfg: GaConfig | None = None) -> GaResult:
+    """Evolve phase vectors at average SNR ``gamma_bar``; best fitness never decreases.
 
     Stops at max_generations or once the best fitness has improved by no more
-    than STALL_TOL over STALL_GENERATIONS consecutive generations.
+    than STALL_TOL over STALL_GENERATIONS consecutive generations. The
+    metadata's ``truncated_rows`` counts the vectors scored 0 for a
+    truncated law.
     """
     cfg = cfg or GaConfig()
     n = ensemble.N
@@ -111,8 +125,9 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
 
     pop = rng.uniform(-np.pi, np.pi, (cfg.population, n))
 
-    def evaluate(population: np.ndarray, last: dict) -> tuple[np.ndarray, dict]:
-        """Fitness per row, and the scores by phase bytes to pass as the next ``last``.
+    def evaluate(population: np.ndarray, last: dict) -> tuple[np.ndarray, dict, int]:
+        """Fitness per row, the scores by phase bytes to pass as the next ``last``,
+        and how many of the rows scored here had a truncated law.
 
         A row scored in ``last`` is not scored again; the distinct other rows
         are wrapped and scored in one _scores call.
@@ -121,8 +136,9 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
         scores = {key: last[key] for key in keys if key in last}
         new = {key: ind for key, ind in zip(keys, population) if key not in scores}
         rows = wrap_phase(np.reshape(list(new.values()), (-1, n)))
-        scores.update(zip(new, _scores(rows, ensemble, info)))
-        return np.asarray([scores[key] for key in keys]), scores
+        fits, truncated = _scores(rows, ensemble, gamma_bar, info)
+        scores.update(zip(new, fits))
+        return np.asarray([scores[key] for key in keys]), scores, truncated
 
     def tournament(fits: np.ndarray) -> int:
         contenders = rng.integers(0, cfg.population, TOURNAMENT_SIZE)
@@ -135,9 +151,11 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
     scale = MUTATION_SCALE
     stalled = False
     scores: dict = {}
+    truncated_rows = 0
 
     for _ in range(cfg.max_generations):
-        fits, scores = evaluate(pop, scores)
+        fits, scores, truncated = evaluate(pop, scores)
+        truncated_rows += truncated
         order = np.argsort(fits)[::-1]
         if fits[order[0]] > best_fit:
             best_fit = float(fits[order[0]])
@@ -185,5 +203,6 @@ def ga_optimize(ensemble: ChannelEnsemble, info, cfg: GaConfig | None = None) ->
             "mutation_rate": mut_rate,
             "elitism": ELITISM_COUNT,
             "seed": cfg.seed,
+            "truncated_rows": truncated_rows,
         },
     )

@@ -25,6 +25,7 @@ GRAD_TOL. These are module constants; only the iteration limit is settable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,27 +52,29 @@ MAX_BACKTRACKS = 50
 class CompositeSnrObjective:
     """Harmonic-composite SNR (sum_k (N / gamma_bar) / (phi^H R_k phi))^-1.
 
-    Maximizing this maximizes the weakest-user average multicast rate.
+    Maximizing this maximizes the weakest-user average multicast rate (gamma_bar linear).
     """
 
-    def __init__(self, ensemble: ChannelEnsemble):
+    def __init__(self, ensemble: ChannelEnsemble, gamma_bar: float):
         self.ensemble = ensemble
+        self.gamma_bar = gamma_bar
 
     def value(self, phi: np.ndarray) -> float:
         q = _checked_forms(self.ensemble, phi, self.ensemble.N)
-        return 1.0 / float(np.sum((self.ensemble.N / self.ensemble.gamma_bar) / q))
+        return 1.0 / float(np.sum((self.ensemble.N / self.gamma_bar) / q))
 
     def euclid_grad(self, phi: np.ndarray) -> np.ndarray:
         """Wirtinger gradient: value^2 * sum_k (N/gbar) R_k phi / q_k^2."""
         ens = self.ensemble
         q = _checked_forms(ens, phi, ens.N)
-        scale = ens.N / ens.gamma_bar
+        scale = ens.N / self.gamma_bar
         total = float(np.sum(scale / q))
         try:
             value_sq = total**-2
         except OverflowError as ex:
             raise ValueError(
-                f"the composite-SNR surrogate's gradient overflows at {ens.snr_db} dB"
+                "the composite-SNR surrogate's gradient overflows at "
+                f"{10.0 * math.log10(self.gamma_bar):.6g} dB"
             ) from ex
         rphi = np.einsum("kij,j->ki", ens.correlations, phi)
         return value_sq * np.einsum("k,ki->i", scale / q**2, rphi)

@@ -134,13 +134,12 @@ def mc_amr(
     """Empirical average multicast rates with standard errors on an SNR grid.
 
     Draws n channels once, at unit SNR, and evaluates them at every linear
-    average SNR in ``gamma_bars``; the ensemble's own SNR is not used. Each
-    scenario selects the per-sample SNR reduction: the minimum over users
-    (each decodes alone) or the sum (joint maximal-ratio detection). Returns
-    {scenario: (McEstimate per entry of gamma_bars)}. All estimates share the
-    draws, so min <= sum and the SNR ordering hold pathwise and their errors
-    are correlated; each equals the estimate computed alone with the same
-    seed and n.
+    average SNR in ``gamma_bars``. Each scenario selects the per-sample SNR
+    reduction: the minimum over users (each decodes alone) or the sum (joint
+    maximal-ratio detection). Returns {scenario: (McEstimate per entry of
+    gamma_bars)}. All estimates share the draws, so min <= sum and the SNR
+    ordering hold pathwise and their errors are correlated; each equals the
+    estimate computed alone with the same seed and n.
     """
     unknown = [s for s in scenarios if s not in _SCENARIOS]
     if unknown:

@@ -16,7 +16,6 @@ from amrbeam import (
     amr_noncoop,
     array_gain_coop,
     array_gain_noncoop,
-    effective_snrs,
     fit_gap_slope,
     make_ensemble,
     make_psk,
@@ -25,8 +24,9 @@ from amrbeam import (
     min_snr_law,
     mmse_curve,
     mrc_law,
+    quadratic_forms,
 )
-from amrbeam.channel_model import log_gamma_range
+from amrbeam.channel_model import ChannelEnsemble, log_gamma_range
 from amrbeam.cli import run
 
 # Frozen Monte Carlo oracle for E{mi(g)} with g ~ Exp(mean 1), 4-QAM:
@@ -35,12 +35,16 @@ AMR1_MC_MEAN = 0.7977939306399031
 AMR1_MC_3SE = 3 * 0.0005081571465968221
 
 
+def _gammas(e, p, snr_db):
+    """Per-user average SNRs gamma_bar * q_k of phases p at snr_db."""
+    return 10.0 ** (snr_db / 10.0) * quadratic_forms(e, p)
+
+
 def _random_configs(rng, count, k=4, n=5, snr_lo=-30.0, snr_hi=10.0):
     out = []
     for i in range(count):
-        e = make_ensemble(k, n, float(rng.uniform(snr_lo, snr_hi)), seed=1000 + i)
-        p = PhaseVector.random(n, rng)
-        out.append(effective_snrs(e, p))
+        snr_db = float(rng.uniform(snr_lo, snr_hi))
+        out.append(_gammas(make_ensemble(k, n, seed=1000 + i), PhaseVector.random(n, rng), snr_db))
     return out
 
 
@@ -106,9 +110,9 @@ def test_amr_coop_kept_rows_match_rows_built_per_law(monkeypatch, table_qam4):
 
 
 def test_amr_coop_random_ensemble_against_mc(table_qam4, rng):
-    e = make_ensemble(4, 5, 0.0, seed=11)
+    e = make_ensemble(4, 5, seed=11)
     p = PhaseVector.random(5, rng)
-    gs = effective_snrs(e, p)
+    gs = quadratic_forms(e, p)
     analytic = amr_coop(table_qam4, mrc_law(gs, 1e-10))
     draws = rng.exponential(gs, size=(10**6, 4)).sum(axis=1)
     vals = table_qam4.mi(draws)
@@ -124,11 +128,11 @@ def test_cooperation_dominance(table_qam4, rng):
 
 
 def test_amr_monotone_in_average_snr(table_qam4, rng):
-    e0 = make_ensemble(4, 5, 0.0, seed=77)
+    e0 = make_ensemble(4, 5, seed=77)
     p = PhaseVector.random(5, rng)
     coop_prev = non_prev = -1.0
     for snr_db in np.arange(-30.0, 31.0, 3.0):
-        gs = effective_snrs(e0.with_snr_db(snr_db), p)
+        gs = _gammas(e0, p, snr_db)
         non = amr_noncoop(table_qam4, min_snr_law(gs))
         coop = amr_coop(table_qam4, mrc_law(gs, 1e-10))
         assert non >= non_prev - 1e-12 and coop >= coop_prev - 1e-12
@@ -231,19 +235,15 @@ def test_mellin_refuses_a_moment_past_the_double_range():
 def test_asymptote_noncoop_identity_ensembles(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
     k = 4
-    e = make_ensemble(k, 5, 0.0, seed=1)
-    e_id = e.with_snr_db(0.0)
-    e_id.correlations = np.stack([np.eye(5, dtype=complex)] * k)
+    e = make_ensemble(k, 5, seed=1)
+    e_id = ChannelEnsemble(np.stack([np.eye(5, dtype=complex)] * k))
     p = PhaseVector.random(5, rng)
-    d = array_gain_noncoop(e_id, p, m2)
+    # the gain takes the SNR-free gains q_k, so it does not depend on the SNR
+    d = array_gain_noncoop(quadratic_forms(e_id, p), m2)
     assert d == pytest.approx(1.0 / (m2 * k), rel=1e-12)
-    # the gain does not depend on the SNR
-    assert array_gain_noncoop(e_id.with_snr_db(30.0), p, m2) == d
     # doubling every correlation doubles the gain
-    e2 = e.with_snr_db(0.0)
-    d1 = array_gain_noncoop(e2, p, m2)
-    e2.correlations = 2.0 * e2.correlations
-    d2 = array_gain_noncoop(e2, p, m2)
+    d1 = array_gain_noncoop(quadratic_forms(e, p), m2)
+    d2 = array_gain_noncoop(quadratic_forms(ChannelEnsemble(2.0 * e.correlations), p), m2)
     assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
 
 
@@ -251,10 +251,10 @@ def test_asymptote_noncoop_gap_prediction(qam4, rng):
     # evaluated saturation gap at 40 dB within 10% of 1/(d gbar)
     m2 = mellin_mmse(qam4, 2)
     gap_eval = SaturationGap(qam4)
-    e = make_ensemble(4, 5, 40.0, seed=5)
+    e = make_ensemble(4, 5, seed=5)
     p = PhaseVector.random(5, rng)
-    gap = gap_eval.noncoop(min_snr_law(effective_snrs(e, p)))
-    predicted = 1.0 / (array_gain_noncoop(e, p, m2) * e.gamma_bar)
+    gap = gap_eval.noncoop(min_snr_law(_gammas(e, p, 40.0)))
+    predicted = 1.0 / (array_gain_noncoop(quadratic_forms(e, p), m2) * 1e4)
     assert abs(gap / predicted - 1.0) < 0.10
 
 
@@ -264,10 +264,10 @@ def test_saturation_gap_complements_rate_at_low_snr(qam4, rng):
     # narrower than 1
     gap_eval = SaturationGap(qam4)
     info = DirectInfo(qam4)
-    e = make_ensemble(4, 5, 0.0, seed=9)
+    e = make_ensemble(4, 5, seed=9)
     p = PhaseVector.random(5, rng)
     for snr_db in np.arange(-40.0, -9.0, 5.0):
-        gs = effective_snrs(e.with_snr_db(snr_db), p)
+        gs = _gammas(e, p, snr_db)
         gn = min_snr_law(gs)
         assert abs(gap_eval.noncoop(gn) + amr_noncoop(info, gn) - qam4.bits) < 1e-9
         law = mrc_law(gs, 1e-12)
@@ -311,10 +311,10 @@ def test_saturation_gap_matches_panels_four_times_as_dense():
         g = np.maximum(c.bits - DirectInfo(c).mi(x), 0.0)
         gap_eval = SaturationGap(c)
         for k in (4, 16, 32):
-            e = make_ensemble(k, 8, 0.0, seed=k)
+            e = make_ensemble(k, 8, seed=k)
             p = PhaseVector.random(8, np.random.default_rng(k))
             for snr_db in np.arange(-40.0, 41.0, 5.0):
-                gs = effective_snrs(e.with_snr_db(snr_db), p)
+                gs = _gammas(e, p, snr_db)
                 gn = min_snr_law(gs)
                 law = mrc_law(gs, 1e-12)
                 for val, ref in ((gap_eval.noncoop(gn), w @ (g * np.exp(-x / gn) / gn)),
@@ -352,19 +352,16 @@ def test_one_tabulation_per_alphabet(monkeypatch, tmp_path, qam4):
 
 def test_asymptote_coop_k1_matches_noncoop(qam4, rng):
     m2 = mellin_mmse(qam4, 2)
-    e = make_ensemble(1, 5, 0.0, seed=2)
-    p = PhaseVector.random(5, rng)
-    d_non = array_gain_noncoop(e, p, m2)
-    d_coop = array_gain_coop(e, p, m2)
+    q = quadratic_forms(make_ensemble(1, 5, seed=2), PhaseVector.random(5, rng))
+    d_non = array_gain_noncoop(q, m2)
+    d_coop = array_gain_coop(q, m2)
     assert d_coop == pytest.approx(d_non, rel=1e-12)
 
 
 def test_asymptote_coop_equal_unit_forms(qam4):
     m3 = mellin_mmse(qam4, 3)
-    e = make_ensemble(2, 4, 0.0, seed=3)
-    e.correlations = np.stack([np.eye(4, dtype=complex)] * 2)
-    p = PhaseVector(np.zeros(4))
-    d = array_gain_coop(e, p, m3)
+    e = ChannelEnsemble(np.stack([np.eye(4, dtype=complex)] * 2))
+    d = array_gain_coop(quadratic_forms(e, PhaseVector(np.zeros(4))), m3)
     assert d == pytest.approx(math.sqrt(2.0 / m3), rel=1e-12)
 
 
@@ -372,13 +369,12 @@ def test_asymptote_coop_slope(qam4, rng):
     # log-log decay of the cooperative gap approaches -K
     k = 4
     gap_eval = SaturationGap(qam4)
-    e = make_ensemble(k, 5, 0.0, seed=9)
+    e = make_ensemble(k, 5, seed=9)
     p = PhaseVector.random(5, rng)
     gbars, gaps = [], []
     for snr_db in np.arange(6.0, 32.0, 2.0):
-        ens = e.with_snr_db(snr_db)
-        gaps.append(gap_eval.coop(mrc_law(effective_snrs(ens, p), 1e-12)))
-        gbars.append(ens.gamma_bar)
+        gaps.append(gap_eval.coop(mrc_law(_gammas(e, p, snr_db), 1e-12)))
+        gbars.append(10.0 ** (snr_db / 10.0))
     slope, used = fit_gap_slope(gbars, gaps, (1e-9, 1e-4))
     assert used >= 3
     assert slope == pytest.approx(-k, abs=0.2)

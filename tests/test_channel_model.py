@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import accumulate
 from operator import mul
@@ -15,11 +19,11 @@ from amrbeam import (
     NulledUserError,
     PhaseVector,
     TruncationError,
-    effective_snrs,
     make_correlation,
     make_ensemble,
     min_snr_law,
     mrc_law,
+    quadratic_forms,
     wrap_phase,
 )
 from amrbeam.channel_model import _CASCADE_BLOCK, _MAX_SERIES_TERMS, MrcLaw, _nulled, log_gamma_range
@@ -87,68 +91,138 @@ def test_local_scattering_rejects_bad_spread():
 def test_ensemble_validation():
     bad = np.stack([np.array([[1.0, 0.5j], [0.4j, 1.0]])])
     with pytest.raises(ValueError):
-        ChannelEnsemble(bad, 0.0)
+        ChannelEnsemble(bad)
     negative = np.stack([np.array([[1.0, 0.0], [0.0, -1e-3]], dtype=complex)])
     with pytest.raises(ValueError):
-        ChannelEnsemble(negative, 0.0)
+        ChannelEnsemble(negative)
 
 
-def test_with_snr_db_shares_the_cleaned_matrices():
-    e = make_ensemble(32, 128, 0.0, seed=7)
-    root = e.sqrt_correlations()
-    t0 = time.perf_counter()
-    e2 = e.with_snr_db(10.0)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 0.01
-    assert e2.snr_db == 10.0 and e.snr_db == 0.0
-    assert np.array_equal(e2.correlations, e.correlations)
-    assert e2.sqrt_correlations() is root
-
-
-def test_reassigned_correlations_reset_the_traces_and_roots():
-    # a later assignment of correlations cleans them as the constructor does
-    # and resets what derives from them; a copy made before keeps the old ones
-    e = make_ensemble(3, 4, 0.0, seed=1)
-    old_root = e.sqrt_correlations()
-    before = e.with_snr_db(10.0)
-    scaled = 1e6 * e.correlations
-    e.correlations = scaled
-    fresh = ChannelEnsemble(scaled, 0.0)
-    assert e.correlations.tobytes() == fresh.correlations.tobytes()
-    assert e._traces.tobytes() == fresh._traces.tobytes()
-    assert np.allclose(e.sqrt_correlations(), 1e3 * old_root)
-    assert before.sqrt_correlations() is old_root
-    # a form between the old threshold and the new one nulls its user only
-    # under the new one
-    q = 1e-9 * before._traces
-    assert _nulled(e, q, e.N).all() and not _nulled(before, q, before.N).any()
+def test_ensemble_refuses_each_defect_and_names_the_user():
+    eye = np.eye(3, dtype=complex)
+    skew = eye.copy()
+    skew[0, 1] = 1e-11  # R - R^H has a 1e-11 entry
     with pytest.raises(ValueError, match="not Hermitian"):
-        e.correlations = np.stack([np.array([[1.0, 0.5j], [0.4j, 1.0]])])
-    assert e._traces.tobytes() == fresh._traces.tobytes()
+        ChannelEnsemble(np.stack([eye, skew]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ChannelEnsemble(np.stack([eye, np.full((3, 3), np.nan)]))
+    # eigenvalues 1 +- 1.0000001: the smallest is -1e-7, of user 2 only
+    dipped = eye + 1.0000001 * np.fliplr(eye)
+    dipped[1, 1] = 1.0
+    with pytest.raises(ValueError, match=r"correlation 2 has eigenvalue -1\.00e-07"):
+        ChannelEnsemble(np.stack([eye, eye, dipped]))
+    with pytest.raises(ValueError, match="correlation 1 has non-positive trace"):
+        ChannelEnsemble(np.stack([eye, np.zeros((3, 3))]))
+    with pytest.raises(ValueError, match=r"must be \(K, N, N\)"):
+        ChannelEnsemble(eye)
+    # roundoff below the thresholds passes, and only the Hermitian part is kept
+    near = eye + 1e-13 * np.triu(np.ones((3, 3)), 1)
+    kept = ChannelEnsemble(near[None]).correlations[0]
+    assert np.array_equal(kept, kept.conj().T)
+    assert np.array_equal(kept, 0.5 * (near + near.conj().T))
+
+
+def test_ensemble_holds_no_snr_and_caches_its_roots():
+    e = make_ensemble(3, 4, seed=7)
+    for name in ("snr_db", "gamma_bar", "with_snr_db"):
+        assert not hasattr(e, name)
+    assert [f.name for f in dataclasses.fields(e)] == ["correlations"]
+    root = e.sqrt_correlations()
+    assert e.sqrt_correlations() is root
+    assert np.allclose(np.einsum("kij,kjl->kil", root, root), e.correlations, atol=1e-12)
+
+
+def test_assigning_an_ensemble_field_raises():
+    # the traces that scale the nulled-user threshold are taken once, from
+    # the matrices the ensemble holds, which can be neither replaced nor edited
+    e = make_ensemble(3, 4, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.correlations = 1e6 * e.correlations
+    with pytest.raises(ValueError, match="read-only"):
+        e.correlations[0, 0, 0] = 2.0
+    scaled = ChannelEnsemble(1e6 * e.correlations)
+    assert np.array_equal(scaled._traces, 1e6 * e._traces)
+    # a form between the two thresholds nulls its user only under the larger
+    q = 1e-9 * e._traces
+    assert _nulled(scaled, q, scaled.N).all() and not _nulled(e, q, e.N).any()
+
+
+def test_building_an_ensemble_rebuilds_no_matrix_from_eigh(monkeypatch):
+    # eigvalsh only checks; the stored matrices never pass through eigh
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called while building an ensemble")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for model in ("exponential", "local_scattering"):
+        make_ensemble(4, 16, model=model, seed=2)
+
+
+def test_exponential_ensemble_is_the_closed_form_bitwise():
+    n, rho = 16, 0.7
+    e = make_ensemble(6, n, seed=4, rho=rho)
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    for r, mu in zip(e.correlations, np.random.default_rng(4).uniform(-np.pi, np.pi, 6)):
+        assert r.tobytes() == (rho ** np.abs(lag) * np.exp(1j * lag * mu)).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 128, 256])
+def test_local_scattering_is_exactly_hermitian_and_psd(n):
+    for spread in (0.01, 0.1745, 0.5):
+        for angle in np.random.default_rng(n).uniform(-np.pi / 2, np.pi / 2, 4):
+            r = make_correlation("local_scattering", n, angle=float(angle), spread=spread)
+            assert np.array_equal(r, r.conj().T) and not np.diag(r).imag.any()
+            assert np.linalg.eigvalsh(r).min() > -1e-10
+
+
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from amrbeam import PhaseVector, make_ensemble, quadratic_forms
+phases = PhaseVector.random(128, np.random.default_rng(11))
+for model in ("exponential", "local_scattering"):
+    e = make_ensemble(32, 128, model=model, seed=3)
+    q = quadratic_forms(e, phases)
+    print(model, hashlib.sha256(e.correlations.tobytes() + q.tobytes()).hexdigest())
+"""
+
+
+def test_ensemble_and_gains_do_not_depend_on_the_blas_thread_count():
+    # from N = 128 OpenBLAS splits its products and LAPACK's eigh over
+    # threads; neither may reach the stored matrices or the gains
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == 2 and outs[0] == outs[1]
 
 
 def test_effective_snrs_identity_correlations(rng):
-    e = ChannelEnsemble(np.stack([np.eye(5, dtype=complex)] * 4), 10.0)
+    # identity correlations give every user the gain ||f||^2 = 1, so
+    # gamma_bar * q_k is the average SNR itself
+    e = ChannelEnsemble(np.stack([np.eye(5, dtype=complex)] * 4))
     p = PhaseVector.random(5, rng)
-    assert np.allclose(effective_snrs(e, p), 10.0, atol=1e-12)
+    assert np.allclose(10.0 * quadratic_forms(e, p), 10.0, atol=1e-12)
 
 
 def test_effective_snrs_rank_one_oracle(rng):
     # direct loop evaluation of gamma = gbar |a^H phi|^2 / N over small vectors
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 3.0)
+    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :])
     p = PhaseVector.random(3, rng)
+    gamma_bar = 10.0 ** 0.3
     inner = sum(np.conj(a[i]) * p.phi[i] for i in range(3))
-    expect = e.gamma_bar * abs(inner) ** 2 / 3.0
-    assert effective_snrs(e, p)[0] == pytest.approx(expect, rel=1e-12)
+    expect = gamma_bar * abs(inner) ** 2 / 3.0
+    assert gamma_bar * quadratic_forms(e, p)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_nulled_user_error():
     a = np.array([1.0, -1.0], dtype=complex)
-    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
+    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :])
     aligned = PhaseVector(np.array([0.0, 0.0]))  # phi = (1, 1) is orthogonal to a
     with pytest.raises(NulledUserError):
-        effective_snrs(e, aligned)
+        quadratic_forms(e, aligned)
 
 
 def test_min_snr_law_examples():
@@ -437,7 +511,7 @@ def test_mrc_law_large_series_is_fast():
 
 def test_channel_law_realization(rng):
     # sampled f^H h must carry variance f^H R f per user
-    e = make_ensemble(4, 5, 0.0, seed=3)
+    e = make_ensemble(4, 5, seed=3)
     p = PhaseVector.random(5, rng)
     a = np.einsum("kij,j->ki", e.sqrt_correlations(), p.f)
     g = (rng.standard_normal((10**6, 4, 5)) + 1j * rng.standard_normal((10**6, 4, 5))) / math.sqrt(2)

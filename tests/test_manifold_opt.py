@@ -60,8 +60,8 @@ def test_retract_second_order(rng):
 
 
 def test_gradients_match_directional_derivatives(rng):
-    e = make_ensemble(4, 5, 0.0, seed=42)
-    for objective in (CompositeSnrObjective(e), LogGainSumObjective(e)):
+    e = make_ensemble(4, 5, seed=42)
+    for objective in (CompositeSnrObjective(e, 1.0), LogGainSumObjective(e)):
         for _ in range(20):
             phi = PhaseVector.random(5, rng).phi
             d = _random_tangent(phi, rng)
@@ -73,31 +73,31 @@ def test_gradients_match_directional_derivatives(rng):
 
 
 def test_gradient_scaling_invariances(rng):
-    e = make_ensemble(3, 5, 0.0, seed=11)
+    e = make_ensemble(3, 5, seed=11)
     phi = PhaseVector.random(5, rng).phi
     # composite-SNR: normalized direction invariant to common scaling of all R_k
-    g1 = CompositeSnrObjective(e).euclid_grad(phi)
-    e2 = ChannelEnsemble(2.0 * e.correlations, e.snr_db)
-    g2 = CompositeSnrObjective(e2).euclid_grad(phi)
+    g1 = CompositeSnrObjective(e, 1.0).euclid_grad(phi)
+    e2 = ChannelEnsemble(2.0 * e.correlations)
+    g2 = CompositeSnrObjective(e2, 1.0).euclid_grad(phi)
     assert np.allclose(g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2), atol=1e-13)
     # log-gain-sum: gradient exactly invariant to scaling any single R_k
     scaled = e.correlations.copy()
     scaled[1] *= 2.0
-    e3 = ChannelEnsemble(scaled, e.snr_db)
+    e3 = ChannelEnsemble(scaled)
     g3 = LogGainSumObjective(e3).euclid_grad(phi)
     assert np.allclose(LogGainSumObjective(e).euclid_grad(phi), g3, atol=1e-14)
 
 
 def test_radial_gradient_projects_to_zero(rng):
-    e = ChannelEnsemble(np.eye(5, dtype=complex)[None, :, :], 0.0)
+    e = ChannelEnsemble(np.eye(5, dtype=complex)[None, :, :])
     phi = PhaseVector.random(5, rng).phi
-    for objective in (CompositeSnrObjective(e), LogGainSumObjective(e)):
+    for objective in (CompositeSnrObjective(e, 1.0), LogGainSumObjective(e)):
         assert np.max(np.abs(riemannian_grad(objective.euclid_grad(phi), phi))) < 1e-14
 
 
 def test_flat_landscape_terminates_immediately(rng):
-    e = ChannelEnsemble(np.eye(5, dtype=complex)[None, :, :], 0.0)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng))
+    e = ChannelEnsemble(np.eye(5, dtype=complex)[None, :, :])
+    res = rm_cgd(CompositeSnrObjective(e, 1.0), PhaseVector.random(5, rng))
     assert res.converged and res.iterations == 0
     assert res.grad_norms[0] < 1e-12
     assert len(res.objective_trace) == 1
@@ -105,8 +105,8 @@ def test_flat_landscape_terminates_immediately(rng):
 
 def test_rank_one_alignment(rng):
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng), max_iters=500)
+    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :])
+    res = rm_cgd(CompositeSnrObjective(e, 1.0), PhaseVector.random(5, rng), max_iters=500)
     q = float(np.real(np.conj(res.phases.phi) @ np.outer(a, a.conj()) @ res.phases.phi))
     assert q >= 0.999 * np.sum(np.abs(a)) ** 2
 
@@ -124,15 +124,15 @@ def test_rank_one_against_grid_search(rng):
         best = max(best, float(np.max(np.abs(inner12 + np.conj(a[2]) * p3) ** 2)))
     assert best <= target * (1 + 1e-12)
     assert best >= 0.999 * target
-    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :], 0.0)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(3, rng), max_iters=500)
+    e = ChannelEnsemble(np.outer(a, a.conj())[None, :, :])
+    res = rm_cgd(CompositeSnrObjective(e, 1.0), PhaseVector.random(3, rng), max_iters=500)
     q = float(np.real(np.conj(res.phases.phi) @ np.outer(a, a.conj()) @ res.phases.phi))
     assert q >= best - 1e-6 * target
 
 
 def test_multistart_convergence_and_ascent():
-    e = make_ensemble(4, 5, 0.0, seed=7)
-    for objective in (CompositeSnrObjective(e), LogGainSumObjective(e)):
+    e = make_ensemble(4, 5, seed=7)
+    for objective in (CompositeSnrObjective(e, 1.0), LogGainSumObjective(e)):
         rng = np.random.default_rng(123)
         results = [rm_cgd(objective, PhaseVector.random(5, rng)) for _ in range(20)]
         assert sum(r.converged for r in results) >= 19
@@ -144,9 +144,9 @@ def test_multistart_convergence_and_ascent():
 
 
 def test_sufficient_increase_invariant():
-    e = make_ensemble(4, 5, 0.0, seed=19)
+    e = make_ensemble(4, 5, seed=19)
     rng = np.random.default_rng(4)
-    res = rm_cgd(CompositeSnrObjective(e), PhaseVector.random(5, rng))
+    res = rm_cgd(CompositeSnrObjective(e, 1.0), PhaseVector.random(5, rng))
     f = res.objective_trace
     for i in range(res.iterations):
         gain = f[i + 1] - f[i]
@@ -155,8 +155,8 @@ def test_sufficient_increase_invariant():
 
 
 def test_iterates_stay_feasible(rng):
-    e = make_ensemble(4, 5, 0.0, seed=23)
-    base = CompositeSnrObjective(e)
+    e = make_ensemble(4, 5, seed=23)
+    base = CompositeSnrObjective(e, 1.0)
     seen = []
 
     class Spy:
@@ -174,8 +174,8 @@ def test_iterates_stay_feasible(rng):
 
 def test_scale_invariant_iterates(rng):
     # common scaling of all R_k leaves the log-gain-sum iterate sequence intact
-    e = make_ensemble(3, 5, 0.0, seed=31)
-    e_scaled = ChannelEnsemble(2.0 * e.correlations, e.snr_db)
+    e = make_ensemble(3, 5, seed=31)
+    e_scaled = ChannelEnsemble(2.0 * e.correlations)
     start = PhaseVector.random(5, rng)
     r1 = rm_cgd(LogGainSumObjective(e), start)
     r2 = rm_cgd(LogGainSumObjective(e_scaled), start)
@@ -183,8 +183,8 @@ def test_scale_invariant_iterates(rng):
     assert np.allclose(r1.phases.thetas, r2.phases.thetas, atol=1e-9)
     # composite-SNR iterates match when the average SNR is rescaled to compensate
     db_shift = 10.0 * math.log10(2.0)
-    r3 = rm_cgd(CompositeSnrObjective(e.with_snr_db(0.0)), start)
-    r4 = rm_cgd(CompositeSnrObjective(ChannelEnsemble(2.0 * e.correlations, -db_shift)), start)
+    r3 = rm_cgd(CompositeSnrObjective(e, 1.0), start)
+    r4 = rm_cgd(CompositeSnrObjective(e_scaled, 10.0 ** (-db_shift / 10.0)), start)
     assert r3.iterations == r4.iterations
     assert np.allclose(r3.phases.thetas, r4.phases.thetas, atol=1e-9)
 
@@ -206,6 +206,6 @@ def test_line_search_failure_flag(rng):
 
 
 def test_config_validation(rng):
-    e = make_ensemble(2, 3, 0.0, seed=5)
+    e = make_ensemble(2, 3, seed=5)
     with pytest.raises(ValueError, match="max_iters"):
-        rm_cgd(CompositeSnrObjective(e), PhaseVector.random(3, rng), max_iters=0)
+        rm_cgd(CompositeSnrObjective(e, 1.0), PhaseVector.random(3, rng), max_iters=0)

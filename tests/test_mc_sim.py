@@ -10,11 +10,11 @@ from amrbeam import (
     PhaseVector,
     amr_coop,
     amr_noncoop,
-    effective_snrs,
     make_ensemble,
     mc_amr,
     min_snr_law,
     mrc_law,
+    quadratic_forms,
 )
 from amrbeam import mc_sim
 
@@ -26,16 +26,16 @@ def _gamma_bars(snr_db):
     return [10.0 ** (s / 10.0) for s in snr_db]
 
 
-def _gains(e, p, n, seed):
-    """n x K per-user SNRs of the draws mc_amr reduces, at the ensemble's SNR."""
-    return e.gamma_bar * np.concatenate(list(mc_sim._gain_chunks(e, p, n, seed)))
+def _gains(e, p, n, seed, gamma_bar=1.0):
+    """n x K per-user SNRs of the draws mc_amr reduces, at average SNR gamma_bar."""
+    return gamma_bar * np.concatenate(list(mc_sim._gain_chunks(e, p, n, seed)))
 
 
 def test_gain_marginals(rng):
-    e = make_ensemble(4, 5, -20.0, seed=31)
+    e = make_ensemble(4, 5, seed=31)
     p = PhaseVector.random(5, rng)
-    gs = effective_snrs(e, p)
-    gains = _gains(e, p, 10**6, seed=55)
+    gs = 0.01 * quadratic_forms(e, p)
+    gains = _gains(e, p, 10**6, seed=55, gamma_bar=0.01)
     assert gains.shape == (10**6, 4)
     assert np.max(np.abs(gains.mean(axis=0) / gs - 1.0)) < 0.01
     for k in range(4):
@@ -46,15 +46,15 @@ def test_degenerate_rank_one_correlation(rng):
     # zero-padded rank-1: only the first antenna carries signal
     r = np.zeros((4, 4), dtype=complex)
     r[0, 0] = 1.0
-    e = ChannelEnsemble(r[None, :, :], 0.0)
+    e = ChannelEnsemble(r[None, :, :])
     p = PhaseVector.random(4, rng)
     gains = _gains(e, p, 10**5, seed=3)
-    mean = e.gamma_bar * abs(p.f[0]) ** 2  # = gamma_bar / N
+    mean = abs(p.f[0]) ** 2  # = gamma_bar / N at gamma_bar 1
     assert kstest(gains[:, 0], expon(scale=mean).cdf).statistic < 0.006
 
 
 def test_mc_amr_validation(table_qam4, rng):
-    e = make_ensemble(2, 3, 0.0, seed=1)
+    e = make_ensemble(2, 3, seed=1)
     p = PhaseVector.random(3, rng)
     with pytest.raises(ValueError):
         mc_amr(e, p, table_qam4, [1.0], 100, seed=1)
@@ -65,32 +65,32 @@ def test_mc_amr_validation(table_qam4, rng):
 
 
 def test_mc_amr_vanishes_at_tiny_snr(table_qam4, rng):
-    e = make_ensemble(3, 4, -120.0, seed=5)
+    e = make_ensemble(3, 4, seed=5)
     p = PhaseVector.random(4, rng)
-    est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**4, seed=9, scenarios=NONCOOP)
+    est = mc_amr(e, p, table_qam4, _gamma_bars([-120.0]), 10**4, seed=9, scenarios=NONCOOP)
     assert est["non_cooperative"][0].mean < 1e-6
 
 
 def test_mc_amr_deterministic_and_dominant(table_qam4, rng):
-    e = make_ensemble(4, 5, -10.0, seed=6)
+    e = make_ensemble(4, 5, seed=6)
     p = PhaseVector.random(5, rng)
-    a1 = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**5, seed=13)
-    a2 = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**5, seed=13)
+    a1 = mc_amr(e, p, table_qam4, [0.1], 10**5, seed=13)
+    a2 = mc_amr(e, p, table_qam4, [0.1], 10**5, seed=13)
     assert a1 == a2
     # shared draws; min <= sum pathwise, so the means order
     assert a1["non_cooperative"][0].mean <= a1["cooperative"][0].mean
     # pathwise check on the raw gains with the identical seed
-    gains = _gains(e, p, 10**4, seed=13)
+    gains = _gains(e, p, 10**4, seed=13, gamma_bar=0.1)
     assert np.all(
         table_qam4.mi(gains.min(axis=1)) <= table_qam4.mi(gains.sum(axis=1)) + 1e-15
     )
 
 
 def test_mc_agrees_with_analytic(table_qam4, rng):
-    e = make_ensemble(4, 5, -20.0, seed=31)
+    e = make_ensemble(4, 5, seed=31)
     p = PhaseVector.random(5, rng)
-    gs = effective_snrs(e, p)
-    est = mc_amr(e, p, table_qam4, [e.gamma_bar], 10**6, seed=77)
+    gs = 0.01 * quadratic_forms(e, p)
+    est = mc_amr(e, p, table_qam4, [0.01], 10**6, seed=77)
     analytic = {
         "non_cooperative": amr_noncoop(table_qam4, min_snr_law(gs)),
         "cooperative": amr_coop(table_qam4, mrc_law(gs, 1e-10)),
@@ -101,7 +101,7 @@ def test_mc_agrees_with_analytic(table_qam4, rng):
 
 
 def test_draws_do_not_depend_on_chunk_size(rng, monkeypatch):
-    e = make_ensemble(3, 16, 0.0, seed=8)
+    e = make_ensemble(3, 16, seed=8)
     p = PhaseVector.random(16, rng)
     whole = _gains(e, p, 3000, seed=21)
     # 7 samples per draw chunk, and a last chunk of 4
@@ -112,7 +112,7 @@ def test_draws_do_not_depend_on_chunk_size(rng, monkeypatch):
 def test_estimates_do_not_depend_on_block_or_draw_buffer_size(table_qam4, rng, monkeypatch):
     # two reduction chunks, the second a partial one
     n = mc_sim._CHUNK + 20_000
-    e = make_ensemble(3, 4, 0.0, seed=8)
+    e = make_ensemble(3, 4, seed=8)
     p = PhaseVector.random(4, rng)
     gamma_bars = _gamma_bars([-10.0, 0.0, 10.0])
     whole = mc_amr(e, p, table_qam4, gamma_bars, n, seed=29)
@@ -123,7 +123,7 @@ def test_estimates_do_not_depend_on_block_or_draw_buffer_size(table_qam4, rng, m
 
 
 def test_estimate_same_alone_or_in_grid(table_qam4, rng):
-    e = make_ensemble(4, 5, 0.0, seed=6)
+    e = make_ensemble(4, 5, seed=6)
     p = PhaseVector.random(5, rng)
     grid = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB), 10**4, seed=17)
     for i in (0, 10, 20):
@@ -135,7 +135,7 @@ def test_estimate_same_alone_or_in_grid(table_qam4, rng):
 
 def test_grid_means_monotone_and_coop_dominates(table_qam4, rng):
     # shared draws make both orderings hold sample by sample, hence exactly
-    e = make_ensemble(4, 5, 0.0, seed=11)
+    e = make_ensemble(4, 5, seed=11)
     p = PhaseVector.random(5, rng)
     grid = mc_amr(e, p, table_qam4, _gamma_bars(GRID_DB), 10**4, seed=23)
     non = [est.mean for est in grid["non_cooperative"]]
@@ -152,7 +152,7 @@ def test_user_reductions_are_numpys_bitwise(k, rng):
     # result for every K. The sum stays np.sum: numpy adds a row of 8 or more
     # users in interleaved partial sums, and a chain of column additions
     # matched it bitwise only up to K = 7.
-    e = make_ensemble(k, 4, 0.0, seed=k)
+    e = make_ensemble(k, 4, seed=k)
     p = PhaseVector.random(4, rng)
     chunks = 0
     for gains in mc_sim._gain_chunks(e, p, 20_000, seed=3):
@@ -173,7 +173,7 @@ def test_mc_amr_memory_independent_of_grid(table_qam4, rng):
     # would read 3.4 MB, keeping a 1e5-sample array per SNR of one scenario
     # would add 21 x 0.8 MB, and an 8 MB draw chunk would break the bound on
     # its own.
-    e = make_ensemble(32, 128, 0.0, model="local_scattering", seed=3)
+    e = make_ensemble(32, 128, model="local_scattering", seed=3)
     p = PhaseVector.random(128, rng)
     e.sqrt_correlations()  # cached on the ensemble; not part of the MC cost
     tracemalloc.start()

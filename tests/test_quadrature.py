@@ -3,10 +3,12 @@
 channel_info._noise_rule gives the Hermite rule for N(0, 1/2), whose weights
 sum to 1 (the e^{-x^2} weights divided by sqrt(pi)); amr._laguerre_rule the
 Laguerre rule for the e^{-x} measure. The orders the package uses, and the
-8-node Legendre panel rule, load from the .npy files in amrbeam/rules; any
-other order is numpy's hermgauss or laggauss, computed on the call. So the
-property tests below run on the shipped rules at the package's orders and on
-numpy's elsewhere, and test_shipped_rules_are_numpys compares the two.
+8-node Legendre panel rule, load from the .npy files in amrbeam/rules. Any
+other Hermite order is numpy's hermgauss, computed on the call; no other
+Laguerre order ships, so the tests below take numpy's laggauss for those
+(_laguerre). So the property tests run on the shipped rules at the package's
+orders and on numpy's elsewhere, and test_shipped_rules_are_numpys compares
+the two.
 """
 
 import math
@@ -16,12 +18,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from numpy.polynomial.laguerre import laggauss
+
 from amrbeam import amr, channel_info
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-_laguerre = amr._laguerre_rule
+def _laguerre(order):
+    """The package's Laguerre rule at a shipped order, numpy's laggauss at any other."""
+    return amr._laguerre_rule(order) if order in amr._SHIPPED_LAGUERRE else laggauss(order)
 
 
 def _hermite(order):
@@ -224,3 +230,10 @@ def test_order_200_rule_builds_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * 200**2
+
+
+def test_laguerre_rule_loads_only_the_shipped_orders():
+    # the package sums on three Laguerre orders, all shipped; no other is computed
+    assert sorted(amr._SHIPPED_LAGUERRE) == [50, 100, 150]
+    with pytest.raises(FileNotFoundError):
+        amr._laguerre_rule(51)
